@@ -16,19 +16,30 @@
 //	GET  /v1/fleet/events — recent events (?node=&xid=&limit=)
 //	GET  /metrics         — Prometheus text (fleet_* families)
 //	GET  /healthz         — liveness + fleet counts
+//	GET  /spans           — span phase table (served by httpx for every daemon)
 //
 // The embedded simulation drives the coordinator over real loopback
 // HTTP through fleet.Client — the same frames, validation, and
 // error paths a remote agent would exercise. With -nodes 0 fleetd
 // serves an empty coordinator for external agents instead.
+//
+// -probes N (with -nodes 0) adds N device probes: agents that run the
+// paper's DRAM microbenchmark as a health check on a simulated
+// beam-exposed device every 10s, one simulated hour per check, and
+// scrub weak rows into retirement (see fleet.Probe). Their check
+// phases show up under /spans.
+//
+//	fleetd -nodes 0 -probes 4
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"sync"
 	"time"
 
 	"hbm2ecc/internal/core"
@@ -48,7 +59,12 @@ func main() {
 	lease := flag.Float64("lease", 12, "coordinator liveness lease, simulated hours")
 	once := flag.Bool("once", false, "run the simulation, print the result JSON, exit")
 	stateDir := flag.String("state-dir", "", "durable state directory (snapshot + WAL); empty keeps the coordinator memory-only")
+	probes := flag.Int("probes", 0, "device probes running the microbenchmark health check, one simulated hour per check (needs -nodes 0)")
 	flag.Parse()
+	if *probes < 0 || *probes > 0 && *nodes != 0 {
+		fmt.Fprintln(os.Stderr, "fleetd: -probes needs -nodes 0: probes and the field simulation keep separate clocks")
+		os.Exit(2)
+	}
 
 	scheme, err := core.SchemeByName(*schemeName)
 	if err != nil {
@@ -58,7 +74,7 @@ func main() {
 
 	opts := fleet.CoordinatorOptions{
 		LeaseHours: *lease,
-		MaxNodes:   *nodes + 1024,
+		MaxNodes:   *nodes + *probes + 1024,
 		StateDir:   *stateDir,
 	}
 	var coord *fleet.Coordinator
@@ -83,14 +99,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fleetd:", err)
 		os.Exit(1)
 	}
-	log.Printf("fleetd: coordinator for %d simulated nodes on %s (scheme=%s hours=%.0f accel=%.0fx)",
-		*nodes, d.URL(), scheme.Name(), *hours, *accel)
+	if *probes > 0 {
+		log.Printf("fleetd: coordinator for %d device probes on %s (one check = one simulated hour, every %s)",
+			*probes, d.URL(), fleet.ProbeInterval)
+	} else {
+		log.Printf("fleetd: coordinator for %d simulated nodes on %s (scheme=%s hours=%.0f accel=%.0fx)",
+			*nodes, d.URL(), scheme.Name(), *hours, *accel)
+	}
 
 	simDone := make(chan struct{})
 	var res fieldsim.FleetResult
 	var simErr error
 	go func() {
 		defer close(simDone)
+		if *probes > 0 {
+			runProbes(ctx, *probes, *seed, fleet.NewClient(d.URL(), 30*time.Second),
+				fleet.AgentOptions{DUEBudget: *dueBudget}, *once)
+			return
+		}
 		if *nodes <= 0 {
 			return
 		}
@@ -143,7 +169,11 @@ func main() {
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(res)
+		if *probes > 0 {
+			_ = enc.Encode(coord.Fleet(*probes))
+		} else {
+			_ = enc.Encode(res)
+		}
 		return
 	}
 
@@ -155,4 +185,24 @@ func main() {
 	<-simDone
 	closeState()
 	log.Print("fleetd: shut down cleanly")
+}
+
+// runProbes drives n device probes against the coordinator until ctx
+// is done or the coordinator removes them; once runs a single check
+// each.
+func runProbes(ctx context.Context, n int, seed int64, rep fleet.Reporter, opts fleet.AgentOptions, once bool) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		p := fleet.NewProbe(fmt.Sprintf("probe-%d", i), seed+int64(i)*7919, rep, opts)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if once {
+				_ = p.Check(ctx) // fails only when ctx is done, which ends the run anyway
+				return
+			}
+			p.Run(ctx)
+		}()
+	}
+	wg.Wait()
 }

@@ -20,8 +20,8 @@ import (
 )
 
 // Process-wide beam telemetry (internal/obs Default registry). Counters
-// aggregate over every beamline in the process; per-device views live in
-// cmd/obsd's health daemon.
+// aggregate over every beamline in the process; per-device health lives
+// in the fleet device probes' agents (internal/fleet).
 var (
 	mInjectedArray = obs.NewCounter("beam_injected_events_total",
 		"Soft-error events injected by simulated beamlines.", "source").With("array")

@@ -277,33 +277,14 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 	crashRate := cfg.CrashFITPerNode * 1e-9 // events/hour/node, not accelerated
 
 	report := func(n *simNode, at float64) error {
-		events := n.agent.Drain()
-		health, rec := n.agent.Health(at)
-		// Always send at least one frame: an empty report is the
-		// heartbeat renewing the node's liveness lease.
-		for {
-			batch := events
-			if len(batch) > fleet.MaxEventsPerReport {
-				batch = batch[:fleet.MaxEventsPerReport]
-			}
-			events = events[len(batch):]
-			n.seq++
-			n.box.Enqueue(fleet.ReportRequest{
-				NodeID:    n.id,
-				Seq:       n.seq,
-				AtHours:   at,
-				Health:    health.String(),
-				Recommend: rec.String(),
-				Events:    batch,
-			})
-			flushAt = at
+		flushAt = at
+		for _, req := range n.agent.Frames(&n.seq, at) {
+			n.box.Enqueue(req)
 			if err := n.box.Flush(ctx, at); err != nil {
 				return err
 			}
-			if len(events) == 0 {
-				return nil
-			}
 		}
+		return nil
 	}
 
 	for t := 0.0; t < cfg.Hours; t += cfg.TickHours {

@@ -280,6 +280,35 @@ func (a *Agent) Drain() []xid.Event {
 	return out
 }
 
+// Frames drains the outbox into report frames at simulated time at:
+// MaxEventsPerReport events per frame, and always at least one frame,
+// since an empty report is the heartbeat that renews the node's lease.
+// seq is the node's last sent sequence number, advanced per frame.
+func (a *Agent) Frames(seq *uint64, at float64) []ReportRequest {
+	events := a.Drain()
+	health, rec := a.Health(at)
+	var out []ReportRequest
+	for {
+		batch := events
+		if len(batch) > MaxEventsPerReport {
+			batch = batch[:MaxEventsPerReport]
+		}
+		events = events[len(batch):]
+		*seq++
+		out = append(out, ReportRequest{
+			NodeID:    a.node,
+			Seq:       *seq,
+			AtHours:   at,
+			Health:    health.String(),
+			Recommend: rec.String(),
+			Events:    batch,
+		})
+		if len(events) == 0 {
+			return out
+		}
+	}
+}
+
 // Health summarizes the agent's state at simulated time at, and the
 // strongest remediation the window suggests. The rules compose the
 // taxonomy's per-code remediations with the agent's budgets:

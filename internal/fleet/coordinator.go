@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -474,8 +475,11 @@ func (c *Coordinator) Fleet(top int) FleetResponse {
 // Events returns recent events, oldest first: the per-node ring when
 // node is set, the fleet-wide ring otherwise; code > 0 filters by Xid.
 func (c *Coordinator) Events(node string, code, limit int) EventsResponse {
-	if limit <= 0 || limit > MaxTopNodes {
+	if limit <= 0 {
 		limit = 64
+	}
+	if limit > MaxTopNodes {
+		limit = MaxTopNodes
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -518,6 +522,19 @@ func (c *Coordinator) Command(node string) string {
 	return ""
 }
 
+// queryInt parses an optional integer query parameter (absent is 0).
+func queryInt(q url.Values, key string) (int, error) {
+	s := q.Get(key)
+	if s == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("fleet: %s=%q is not an integer", key, s)
+	}
+	return n, nil
+}
+
 // Handler returns the coordinator's HTTP surface (see protocol.go for
 // the endpoint list).
 func (c *Coordinator) Handler() http.Handler {
@@ -556,7 +573,11 @@ func (c *Coordinator) Handler() http.Handler {
 			httpx.Error(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
-		top, _ := strconv.Atoi(r.URL.Query().Get("top"))
+		top, err := queryInt(r.URL.Query(), "top")
+		if err != nil {
+			httpx.Error(w, http.StatusBadRequest, err.Error())
+			return
+		}
 		httpx.WriteJSON(w, http.StatusOK, c.Fleet(top))
 	})
 	mux.HandleFunc("/v1/fleet/events", func(w http.ResponseWriter, r *http.Request) {
@@ -565,8 +586,15 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		q := r.URL.Query()
-		code, _ := strconv.Atoi(q.Get("xid"))
-		limit, _ := strconv.Atoi(q.Get("limit"))
+		code, err := queryInt(q, "xid")
+		var limit int
+		if err == nil {
+			limit, err = queryInt(q, "limit")
+		}
+		if err != nil {
+			httpx.Error(w, http.StatusBadRequest, err.Error())
+			return
+		}
 		httpx.WriteJSON(w, http.StatusOK, c.Events(q.Get("node"), code, limit))
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -309,5 +310,57 @@ func TestCoordinatorMetricsGaugesTrackStatus(t *testing.T) {
 	}
 	if len(got) == 0 {
 		t.Fatal("fleet_nodes gauge family missing from snapshot")
+	}
+}
+
+// TestCoordinatorQueryParams: unparseable integers are a 400, not a
+// silently unfiltered answer, and an oversized event limit clamps to
+// MaxTopNodes like top does rather than falling back to the default.
+func TestCoordinatorQueryParams(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{})
+	var events []xid.Event
+	for i := 0; i < 100; i++ {
+		events = append(events, xid.Event{Node: "n1", Code: xid.ContainedECC, AtHours: 1, Row: int64(i)})
+	}
+	if _, err := c.Report(report("n1", 1, 1, events...)); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		path   string
+		code   int
+		events int // -1: not an events query
+	}{
+		{"/v1/fleet?top=2", 200, -1},
+		{"/v1/fleet?top=abc", 400, -1},
+		{"/v1/fleet/events", 200, 64},
+		{"/v1/fleet/events?limit=5000", 200, 100},
+		{"/v1/fleet/events?xid=94&limit=10", 200, 10},
+		{"/v1/fleet/events?xid=48", 200, 0},
+		{"/v1/fleet/events?xid=abc", 400, -1},
+		{"/v1/fleet/events?limit=1.5", 400, -1},
+	} {
+		r, err := srv.Client().Get(srv.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, r.Body)
+		r.Body.Close()
+		if r.StatusCode != tc.code {
+			t.Errorf("GET %s = %d, want %d", tc.path, r.StatusCode, tc.code)
+			continue
+		}
+		if tc.events < 0 {
+			continue
+		}
+		var er EventsResponse
+		if err := json.Unmarshal([]byte(body), &er); err != nil {
+			t.Fatalf("GET %s: %v", tc.path, err)
+		}
+		if len(er.Events) != tc.events {
+			t.Errorf("GET %s returned %d events, want %d", tc.path, len(er.Events), tc.events)
+		}
 	}
 }

@@ -17,9 +17,12 @@ import (
 //
 //	POST /v1/report       ReportRequest -> ReportResponse
 //	GET  /v1/fleet        ?top=N        -> FleetResponse (ranked nodes)
-//	GET  /v1/fleet/events ?node=&xid=   -> EventsResponse (recent ring)
+//	GET  /v1/fleet/events ?node=&xid=&limit= -> EventsResponse (recent ring)
 //	GET  /metrics                       -> Prometheus text (obs registry)
 //	GET  /healthz                       -> liveness + fleet counts
+//
+// An integer query parameter (top, xid, limit) that does not parse is
+// a 400.
 const (
 	// ProtocolVersion is echoed in every response; agents refuse to
 	// follow commands from a coordinator speaking a different version.

@@ -34,9 +34,10 @@ func (f ReadFault) IsZero() bool {
 	return f.Xor.IsZero() && f.StuckMask.IsZero() && f.Stall == 0 && !f.Dead
 }
 
-// FaultInjector perturbs GPU reads; internal/chaos implements it with a
-// replayable fault plan. attempt is 0 for the first try of a read and
-// increments across retries, letting transient faults clear on retry.
+// FaultInjector perturbs GPU reads; the chaos tests implement it with
+// small deterministic injectors. attempt is 0 for the first try of a
+// read and increments across retries, letting transient faults clear on
+// retry.
 type FaultInjector interface {
 	BeforeRead(idx int64, t float64, attempt int) ReadFault
 }

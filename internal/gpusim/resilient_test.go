@@ -19,8 +19,7 @@ func ffPattern(int64) [hbm2.EntryBytes]byte {
 	return d
 }
 
-// stormInjector plants weak cells directly (no chaos import here to keep
-// the dependency arrow chaos -> gpusim one-way).
+// plantWeakRow plants a weak-cell storm on one row directly.
 func plantWeakRow(g *GPU, anchor int64, cells int) []int64 {
 	cfg := g.Dev.Cfg
 	entries := cfg.RowEntries(anchor)

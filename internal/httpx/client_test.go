@@ -150,3 +150,42 @@ func TestStartDaemonServesAndDrains(t *testing.T) {
 		t.Errorf("second daemon drain: %v", err)
 	}
 }
+
+// TestStartDaemonServesSpans: every daemon answers /spans with the
+// default tracer's phase table and hands every other path to its own
+// handler.
+func TestStartDaemonServesSpans(t *testing.T) {
+	obs.DefaultTracer.Start("httpx.test.phase").Finish()
+	ctx, cancel := context.WithCancel(context.Background())
+	d, err := StartDaemon(ctx, "", "127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, "own:"+r.URL.Path)
+	}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cancel()
+		if err := d.Wait(); err != nil {
+			t.Errorf("Wait: %v", err)
+		}
+	}()
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(d.URL() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v", path, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	if spans := get("/spans"); !strings.Contains(spans, "httpx.test.phase") {
+		t.Errorf("/spans missing the finished phase:\n%s", spans)
+	}
+	if got := get("/metrics"); got != "own:/metrics" {
+		t.Errorf("/metrics = %q, want the daemon's own handler", got)
+	}
+}

@@ -1,6 +1,6 @@
 // Package httpx centralizes the hardening every HTTP surface in the
-// repository applies — obsd's fleet-health endpoints and the cluster
-// campaign protocol alike — so no server or client is assembled ad hoc:
+// repository applies — fleetd's health plane and the cluster campaign
+// protocol alike — so no server or client is assembled ad hoc:
 //
 //   - servers get conservative read/write/idle timeouts and a graceful
 //     drain on context cancellation (SIGINT-clean by construction);
@@ -11,7 +11,7 @@
 //
 // It is stdlib-only, like the rest of the repository's infrastructure
 // (the only in-repo dependency is the obs registry, itself stdlib-only,
-// for the uniform per-daemon identity metrics).
+// for the uniform per-daemon identity metrics and span summary).
 package httpx
 
 import (
@@ -118,7 +118,7 @@ func ListenAndServe(ctx context.Context, srv *http.Server, shutdownTimeout time.
 }
 
 // SignalContext returns a context cancelled on SIGINT/SIGTERM — the
-// shared first line of every daemon main (obsd, campaignd, decoded).
+// shared first line of every daemon main (fleetd, campaignd, decoded).
 func SignalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
@@ -127,7 +127,7 @@ func SignalContext() (context.Context, context.CancelFunc) {
 // to a listener whose address is known immediately (so ":0" works for
 // tests and smoke scripts), serving in the background until its context
 // is cancelled, then draining gracefully. It consolidates the
-// listen/serve/drain scaffolding cmd/obsd, cmd/campaignd and
+// listen/serve/drain scaffolding cmd/fleetd, cmd/campaignd and
 // cmd/decoded would otherwise each assemble by hand.
 type Daemon struct {
 	srv  *http.Server
@@ -144,13 +144,22 @@ type Daemon struct {
 // Default registry): <component>_build_info{go_version,module} with
 // constant value 1, and <component>_uptime_seconds, refreshed once a
 // second until ctx is cancelled. An empty component skips both.
+//
+// Every daemon also serves GET /spans, the aggregate phase table of
+// obs.DefaultTracer, ahead of h.
 func StartDaemon(ctx context.Context, component, addr string, h http.Handler, limit int64) (*Daemon, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /spans", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_ = obs.DefaultTracer.WritePhaseSummary(w)
+	})
+	mux.Handle("/", h)
 	d := &Daemon{
-		srv:  NewServerLimit("", h, limit),
+		srv:  NewServerLimit("", mux, limit),
 		ln:   ln,
 		done: make(chan error, 1),
 	}

@@ -8,7 +8,7 @@
 // be killed and resumed without losing or skewing statistics.
 //
 // All counters flow into the internal/obs Default registry so any
-// /metrics surface (cmd/obsd, beamsim -metrics, ...) reports them.
+// /metrics surface (cmd/fleetd, beamsim -metrics, ...) reports them.
 package resilience
 
 import (

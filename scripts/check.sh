@@ -22,7 +22,7 @@ echo "== go test -race ./... =="
 go test -race ./...
 
 echo "== chaos soak: go test -run Chaos -race -count=2 =="
-go test -run Chaos -race -count=2 ./internal/chaos/... ./internal/gpusim/... ./internal/healthd/...
+go test -run Chaos -race -count=2 ./internal/gpusim/... ./internal/fleet/...
 
 echo "== short fuzz: sliced kernels vs scalar reference =="
 go test -run '^$' -fuzz FuzzSlicedVsScalarBatch -fuzztime 10s ./internal/core/
@@ -95,13 +95,39 @@ curl -sf "$fleet_url/healthz" | grep -q '"status":"ok"'
 kill -INT "$fleetd_pid"
 wait "$fleetd_pid"
 
+echo "== probe smoke: fleetd -nodes 0 -probes 2 =="
+"$serve_dir/fleetd" -addr 127.0.0.1:0 -nodes 0 -probes 2 >"$serve_dir/fleetd_probe.log" 2>&1 &
+probe_pid=$!
+trap 'kill "$decoded_pid" "$fleetd_pid" "$probe_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
+probe_url=""
+for _ in $(seq 1 100); do
+	probe_url="$(sed -n 's#.* on \(http://[0-9.:]*\) .*#\1#p' "$serve_dir/fleetd_probe.log" | head -n 1)"
+	[ -n "$probe_url" ] && break
+	sleep 0.1
+done
+test -n "$probe_url" || { cat "$serve_dir/fleetd_probe.log"; exit 1; }
+# Each probe reports after its first microbenchmark check; both must
+# appear as fleet nodes, and the check phase must show under /spans.
+probe_fleet=""
+for _ in $(seq 1 100); do
+	probe_fleet="$(curl -sf "$probe_url/v1/fleet?top=2" || true)"
+	echo "$probe_fleet" | grep -q '"id":"probe-0"' && echo "$probe_fleet" | grep -q '"id":"probe-1"' && break
+	sleep 0.1
+done
+for id in probe-0 probe-1; do
+	echo "$probe_fleet" | grep -q "\"id\":\"$id\"" || { echo "$id never reported: $probe_fleet"; cat "$serve_dir/fleetd_probe.log"; exit 1; }
+done
+curl -sf "$probe_url/spans" | grep -q 'fleet.probe.check' || { echo "/spans missing the probe check phase"; exit 1; }
+kill -INT "$probe_pid"
+wait "$probe_pid"
+
 echo "== fleet durability smoke: kill -9, recover from state dir =="
 state_dir="$serve_dir/fleet_state"
 mkdir -p "$state_dir"
 "$serve_dir/fleetd" -addr 127.0.0.1:0 -nodes 50 -hours 48 -accel 50000 \
 	-state-dir "$state_dir" >"$serve_dir/fleetd_wal.log" 2>&1 &
 wal_pid=$!
-trap 'kill "$decoded_pid" "$fleetd_pid" "$wal_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
+trap 'kill "$decoded_pid" "$fleetd_pid" "$probe_pid" "$wal_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
 wal_url=""
 for _ in $(seq 1 100); do
 	wal_url="$(sed -n 's#.* on \(http://[0-9.:]*\) .*#\1#p' "$serve_dir/fleetd_wal.log" | head -n 1)"
