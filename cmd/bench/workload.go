@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"time"
@@ -128,14 +129,29 @@ func runWorkloadBench(out string, seed int64, quick bool) error {
 	return nil
 }
 
-// resumeDifferential seeds a checkpoint with half of the full run's
-// cells, resumes the campaign from it, and compares against full.
+// resumeDifferential checkpoints half of the full run's cells to a
+// file, resumes the campaign from that file, and compares against full.
 func resumeDifferential(opts workload.Options, full []workload.CellResult) (bool, error) {
-	ck := workload.NewCheckpoint(opts)
+	dir, err := os.MkdirTemp("", "hbm2ecc-workload-resume")
+	if err != nil {
+		return false, err
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "workload.ckpt.json")
+	ck, err := workload.OpenCheckpoint(opts, path, "")
+	if err != nil {
+		return false, err
+	}
 	for i, r := range full {
 		if i%2 == 0 {
 			ck.Store(r.Scheme, r.Kernel, r)
 		}
+	}
+	if err := ck.Err(); err != nil {
+		return false, err
+	}
+	if ck, err = workload.OpenCheckpoint(opts, "", path); err != nil {
+		return false, err
 	}
 	resumed := opts
 	resumed.Resume = ck.Lookup

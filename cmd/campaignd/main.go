@@ -32,7 +32,6 @@ import (
 
 	"hbm2ecc/internal/cluster"
 	"hbm2ecc/internal/core"
-	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/evalmc"
 	"hbm2ecc/internal/httpx"
 )
@@ -44,8 +43,8 @@ func main() {
 	seed := flag.Int64("seed", 2021, "campaign seed")
 	samples := flag.Int("samples", 400_000, "Monte-Carlo samples per sampled pattern class")
 	withDSC := flag.Bool("dsc", false, "include the rejected (36,32) DSC organization")
-	checkpoint := flag.String("checkpoint", "", "snapshot completed cells to this envelope file (atomic write)")
-	resume := flag.String("resume", "", "resume from this envelope file (spec must match the flags)")
+	checkpoint := flag.String("checkpoint", "", "snapshot completed cells to this file (atomic write; same format as ecceval -workers)")
+	resume := flag.String("resume", "", "resume from this checkpoint file (spec must match the flags)")
 	leaseTTL := flag.Duration("lease-ttl", 2*time.Minute, "cell lease TTL before re-queue")
 	flag.Parse()
 
@@ -112,36 +111,16 @@ func runCoordinator(ctx context.Context, listen string, workers int, seed int64,
 		Shards:       1,
 	}
 
-	ckptPath := checkpoint
-	var ckpt *evalmc.Checkpoint
-	if resume != "" {
-		env, err := cluster.LoadEnvelope(resume)
-		if err != nil {
-			return fmt.Errorf("loading envelope: %w", err)
-		}
-		if !env.Spec.Equal(&spec) {
-			return fmt.Errorf("envelope %s was taken under a different campaign spec", resume)
-		}
-		ckpt = env.Completed
-		if ckptPath == "" {
-			ckptPath = resume
-		}
-		log.Printf("resuming campaign from %s: %d cells complete", resume, ckpt.Cells())
-	} else if ckptPath != "" {
-		ckpt = evalmc.NewCheckpoint(spec.Options())
+	ckpt, err := cluster.OpenCheckpoint(spec, checkpoint, resume)
+	if err != nil {
+		return err
 	}
-
 	copts := cluster.CoordinatorOptions{Spec: spec, LeaseTTL: leaseTTL}
 	if ckpt != nil {
-		copts.Resume = ckpt.Lookup
-		copts.Progress = func(scheme string, p errormodel.Pattern, r evalmc.PatternResult) {
-			ckpt.Store(scheme, p, r)
-			if ckptPath != "" {
-				if err := cluster.NewEnvelope(spec, ckpt).Save(ckptPath); err != nil {
-					log.Fatalf("writing envelope: %v", err)
-				}
-			}
+		if resume != "" {
+			log.Printf("resuming campaign from %s: %d cells complete", resume, ckpt.Cells())
 		}
+		copts.Resume, copts.Progress = ckpt.Lookup, ckpt.Store
 	}
 	coord, err := cluster.NewCoordinator(copts)
 	if err != nil {
@@ -209,11 +188,7 @@ func runCoordinator(ctx context.Context, listen string, workers int, seed int64,
 		cancel()
 		wg.Wait()
 		_ = srv.Wait()
-		if ckptPath != "" && ckpt != nil {
-			log.Printf("interrupted with %d cells complete; resume with -resume %s", ckpt.Cells(), ckptPath)
-		} else {
-			log.Printf("interrupted (no -checkpoint path; progress not saved)")
-		}
+		log.Print(ckpt.Interrupted())
 		return nil
 	case <-coord.Done():
 	}
@@ -223,6 +198,9 @@ func runCoordinator(ctx context.Context, listen string, workers int, seed int64,
 		return err
 	}
 	if err := coord.Err(); err != nil {
+		return err
+	}
+	if err := ckpt.Err(); err != nil {
 		return err
 	}
 	results, err := coord.Results()

@@ -25,7 +25,6 @@ import (
 
 	"hbm2ecc/internal/cluster"
 	"hbm2ecc/internal/core"
-	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/evalmc"
 	"hbm2ecc/internal/obs"
 	"hbm2ecc/internal/ondie"
@@ -121,36 +120,11 @@ func main() {
 	}
 }
 
-// loadOrNewCheckpoint wires the -checkpoint / -resume flags into a
-// checkpoint and the path it should be saved to (both nil/empty when
-// checkpointing is off).
-func loadOrNewCheckpoint(opts evalmc.Options, checkpoint, resume string) (*evalmc.Checkpoint, string, error) {
-	path := checkpoint
+// resumed reports a -resume load on stderr, so stdout stays identical
+// to an uninterrupted run's.
+func resumed(resume string, cells int) {
 	if resume != "" {
-		loaded, err := evalmc.LoadCheckpoint(resume)
-		if err != nil {
-			return nil, "", fmt.Errorf("loading checkpoint: %w", err)
-		}
-		if err := loaded.Compatible(opts); err != nil {
-			return nil, "", err
-		}
-		if path == "" {
-			path = resume
-		}
-		fmt.Printf("Resuming evaluation from %s: %d cells complete.\n", resume, loaded.Cells())
-		return loaded, path, nil
-	}
-	if path != "" {
-		return evalmc.NewCheckpoint(opts), path, nil
-	}
-	return nil, "", nil
-}
-
-func interrupted(ckpt *evalmc.Checkpoint, path string) {
-	if path != "" {
-		fmt.Printf("interrupted with %d cells complete; resume with -resume %s\n", ckpt.Cells(), path)
-	} else {
-		fmt.Println("interrupted (no -checkpoint path; progress not saved)")
+		log.Printf("resuming from %s: %d cells complete", resume, cells)
 	}
 }
 
@@ -176,34 +150,26 @@ func runSequential(ctx context.Context, names []string, seed int64, samples int,
 		opts.ErrTransform = stage.TransformMask
 		opts.OnDie = stage.Name()
 	}
-	ckpt, path, err := loadOrNewCheckpoint(opts, checkpoint, resume)
+	ckpt, err := evalmc.OpenCheckpoint(opts, checkpoint, resume)
 	if err != nil {
 		return nil, err
 	}
 	if ckpt != nil {
-		opts.Resume = ckpt.Lookup
-		opts.Progress = func(scheme string, p errormodel.Pattern, r evalmc.PatternResult) {
-			ckpt.Store(scheme, p, r)
-			if path != "" {
-				if err := ckpt.Save(path); err != nil {
-					log.Fatalf("writing checkpoint: %v", err)
-				}
-			}
-		}
+		resumed(resume, ckpt.Cells())
+		opts.Resume, opts.Progress = ckpt.Lookup, ckpt.Store
 	}
 	results, err := evalmc.EvaluateAllCtx(schemes, opts)
 	if err != nil {
-		interrupted(ckpt, path)
+		fmt.Println(ckpt.Interrupted())
 		return nil, nil
 	}
-	return results, nil
+	return results, ckpt.Err()
 }
 
 // runCluster evaluates on the distributed campaign engine over loopback
 // HTTP. Shards is pinned to 1, so the result is bit-identical to a
-// sequential (non -workers) run regardless of worker count — and the
-// checkpoint format is shared with the sequential path, except that a
-// cluster checkpoint records shards=1.
+// sequential (non -workers) run regardless of worker count. The
+// checkpoint echoes the cluster spec, so campaignd can resume it.
 func runCluster(ctx context.Context, names []string, workers int, seed int64, samples int, checkpoint, resume string) ([]evalmc.SchemeResult, error) {
 	spec := cluster.Spec{
 		Schemes:      names,
@@ -214,27 +180,23 @@ func runCluster(ctx context.Context, names []string, workers int, seed int64, sa
 		Shards:       1,
 	}
 	copts := cluster.CoordinatorOptions{Spec: spec}
-	ckpt, path, err := loadOrNewCheckpoint(spec.Options(), checkpoint, resume)
+	ckpt, err := cluster.OpenCheckpoint(spec, checkpoint, resume)
 	if err != nil {
 		return nil, err
 	}
 	if ckpt != nil {
-		copts.Resume = ckpt.Lookup
-		copts.Progress = func(scheme string, p errormodel.Pattern, r evalmc.PatternResult) {
-			ckpt.Store(scheme, p, r)
-			if path != "" {
-				if err := ckpt.Save(path); err != nil {
-					log.Fatalf("writing checkpoint: %v", err)
-				}
-			}
-		}
+		resumed(resume, ckpt.Cells())
+		copts.Resume, copts.Progress = ckpt.Lookup, ckpt.Store
 	}
 	results, coord, err := cluster.RunLocal(ctx, copts, workers, cluster.WorkerOptions{ID: "ecceval"})
 	if err != nil {
 		if ctx.Err() != nil {
-			interrupted(ckpt, path)
+			fmt.Println(ckpt.Interrupted())
 			return nil, nil
 		}
+		return nil, err
+	}
+	if err := ckpt.Err(); err != nil {
 		return nil, err
 	}
 	st := coord.Status()

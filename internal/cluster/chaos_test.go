@@ -157,12 +157,15 @@ func TestChaosWorkerKillMidCell(t *testing.T) {
 }
 
 // TestChaosCoordinatorKillAndResume kills the coordinator mid-campaign
-// and restarts it from its checkpoint envelope: completed cells must
+// and restarts it from its checkpoint file: completed cells must
 // not re-run, and the final merge must match the sequential result.
 func TestChaosCoordinatorKillAndResume(t *testing.T) {
 	spec := testSpec()
 	path := filepath.Join(t.TempDir(), "campaign.ckpt.json")
-	ckpt := evalmc.NewCheckpoint(spec.Options())
+	ckpt, err := OpenCheckpoint(spec, path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	phase1Ctx, phase1Kill := context.WithCancel(context.Background())
 	defer phase1Kill()
@@ -171,7 +174,7 @@ func TestChaosCoordinatorKillAndResume(t *testing.T) {
 		Spec: spec,
 		Progress: func(scheme string, p errormodel.Pattern, r evalmc.PatternResult) {
 			ckpt.Store(scheme, p, r)
-			if err := NewEnvelope(spec, ckpt).Save(path); err != nil {
+			if err := ckpt.Err(); err != nil {
 				t.Errorf("checkpoint save: %v", err)
 			}
 			if completed++; completed == 5 {
@@ -184,17 +187,17 @@ func TestChaosCoordinatorKillAndResume(t *testing.T) {
 	}
 	h1.stop()
 
-	env, err := LoadEnvelope(path)
+	loaded, err := OpenCheckpoint(spec, "", path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := env.Completed.Cells(); n < 5 {
+	if n := loaded.Cells(); n < 5 {
 		t.Fatalf("checkpoint has %d cells, want >= 5", n)
 	}
 
 	h2 := startHarness(t, CoordinatorOptions{
 		Spec:   spec,
-		Resume: env.Completed.Lookup,
+		Resume: loaded.Lookup,
 	})
 	if st := h2.coord.Status(); st.Done < 5 {
 		t.Fatalf("resumed coordinator starts with %d done cells, want >= 5", st.Done)
@@ -314,7 +317,10 @@ func TestDistributedGoldenByteIdentical(t *testing.T) {
 		Shards:       1,
 	}
 	path := filepath.Join(t.TempDir(), "campaign.ckpt.json")
-	ckpt := evalmc.NewCheckpoint(spec.Options())
+	ckpt, err := OpenCheckpoint(spec, path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Phase 1: a victim worker dies holding a lease; a survivor makes
 	// progress until the re-queue has landed and a third of the grid is
@@ -326,7 +332,7 @@ func TestDistributedGoldenByteIdentical(t *testing.T) {
 		LeaseTTL: 300 * time.Millisecond,
 		Progress: func(scheme string, p errormodel.Pattern, r evalmc.PatternResult) {
 			ckpt.Store(scheme, p, r)
-			if err := NewEnvelope(spec, ckpt).Save(path); err != nil {
+			if err := ckpt.Err(); err != nil {
 				t.Errorf("checkpoint save: %v", err)
 			}
 		},
@@ -358,7 +364,7 @@ func TestDistributedGoldenByteIdentical(t *testing.T) {
 
 	// Phase 2: restart from the checkpoint with 4 workers and run the
 	// campaign to completion.
-	env, err := LoadEnvelope(path)
+	loaded, err := OpenCheckpoint(spec, "", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +372,7 @@ func TestDistributedGoldenByteIdentical(t *testing.T) {
 	defer cancel()
 	results, coord, err := RunLocal(ctx, CoordinatorOptions{
 		Spec:   spec,
-		Resume: env.Completed.Lookup,
+		Resume: loaded.Lookup,
 	}, 4, WorkerOptions{PollMax: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

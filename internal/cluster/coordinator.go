@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/evalmc"
 	"hbm2ecc/internal/httpx"
@@ -75,12 +76,13 @@ type CoordinatorOptions struct {
 	// cell that crashes every worker that touches it.
 	MaxCellAttempts int
 	// Resume, when set, is consulted once per cell at construction;
-	// ok=true marks the cell done with the cached result (the
-	// evalmc.Checkpoint.Lookup signature, same as Options.Resume).
+	// ok=true marks the cell done with the cached result (the Lookup of
+	// the checkpoint OpenCheckpoint returns, same shape as
+	// evalmc.Options.Resume).
 	Resume func(scheme string, p errormodel.Pattern) (evalmc.PatternResult, bool)
 	// Progress, when set, is called under the coordinator lock after
-	// each cell completes (the evalmc.Checkpoint.Store + Save hook). It
-	// must not call back into the coordinator.
+	// each cell completes (that checkpoint's Store, which also saves the
+	// file). It must not call back into the coordinator.
 	Progress func(scheme string, p errormodel.Pattern, r evalmc.PatternResult)
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
@@ -161,6 +163,28 @@ type Coordinator struct {
 	failure   error // sticky campaign failure (poisoned cell)
 	done      chan struct{}
 	closed    bool
+}
+
+// OpenCheckpoint opens the coordinator's cell checkpoint (see
+// campaign.Open). The config echo is the whole spec, so `ecceval
+// -workers` and campaignd read and write one file. A resumed file must
+// hold only cells of spec's grid.
+func OpenCheckpoint(spec Spec, checkpointPath, resumePath string) (*campaign.Checkpoint[errormodel.Pattern, evalmc.PatternResult], error) {
+	ckpt, err := campaign.Open[errormodel.Pattern, evalmc.PatternResult](spec, checkpointPath, resumePath)
+	if ckpt == nil || err != nil {
+		return nil, err
+	}
+	inSpec := 0
+	for id := 0; id < spec.NumCells(); id++ {
+		cell, _ := spec.Cell(id) // id < NumCells, so no error
+		if _, ok := ckpt.Lookup(cell.Scheme, cell.PatternP()); ok {
+			inSpec++
+		}
+	}
+	if n := ckpt.Cells(); n != inSpec {
+		return nil, fmt.Errorf("cluster: checkpoint %s holds %d cells outside the campaign spec", resumePath, n-inSpec)
+	}
+	return ckpt, nil
 }
 
 // NewCoordinator builds a coordinator for opts.Spec, consulting the

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -54,7 +56,7 @@ func TestLeaseOrderIsLPT(t *testing.T) {
 			t.Fatalf("lease %d is %s, want 2 Bits (LPT order)", i, l.Cell.PatternP())
 		}
 	}
-	if resp.Spec == nil || !resp.Spec.Equal(&Spec{
+	if resp.Spec == nil || !reflect.DeepEqual(*resp.Spec, Spec{
 		Schemes: testSpec().Schemes, Seed: 2021,
 		Samples3b: 1000, SamplesBeat: 1000, SamplesEntry: 1000, Shards: 1,
 	}) {
@@ -245,7 +247,10 @@ func TestPoisonedCellFailsCampaign(t *testing.T) {
 
 func TestResumeSkipsCompletedCells(t *testing.T) {
 	spec := testSpec()
-	ckpt := evalmc.NewCheckpoint(spec.Options())
+	ckpt, err := OpenCheckpoint(spec, filepath.Join(t.TempDir(), "ckpt.json"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Pre-complete every cell of the first scheme.
 	for p := errormodel.Bit1; p < errormodel.NumPatterns; p++ {
 		n := evalmc.CellTrials(p, spec.Options())

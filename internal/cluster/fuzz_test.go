@@ -107,33 +107,3 @@ func FuzzDecodeCompleteRequest(f *testing.F) {
 		}
 	})
 }
-
-func FuzzDecodeEnvelope(f *testing.F) {
-	spec := testSpec()
-	ckpt := evalmc.NewCheckpoint(spec.Options())
-	ckpt.Store("DuetECC", errormodel.Bit1, evalmc.PatternResult{
-		Pattern: errormodel.Bit1, Exhaustive: true, N: 288, DCE: 288,
-	})
-	raw, _ := json.Marshal(NewEnvelope(spec, ckpt))
-	f.Add(raw)
-	f.Add([]byte(`{"schema":"wrong","spec":{},"completed":null}`))
-	f.Add([]byte(`{"schema":"` + CheckpointSchema + `"}`))
-	f.Add([]byte(`{}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := DecodeEnvelope(data)
-		if err != nil {
-			return
-		}
-		if err := e.Validate(); err != nil {
-			t.Fatalf("decoded envelope fails its own validation: %v", err)
-		}
-		// Accepted envelopes must re-encode and decode cleanly.
-		raw, err := json.Marshal(e)
-		if err != nil {
-			t.Fatalf("re-encoding accepted envelope: %v", err)
-		}
-		if _, err := DecodeEnvelope(raw); err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
-	})
-}

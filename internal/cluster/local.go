@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -23,8 +24,10 @@ type Local struct {
 	baseURL string
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
-	errs    []error
-	mu      sync.Mutex
+	// workersGone is closed once every embedded worker has returned.
+	workersGone chan struct{}
+	errs        []error
+	mu          sync.Mutex
 }
 
 // StartLocal serves copts's coordinator on a loopback listener and
@@ -47,6 +50,7 @@ func StartLocal(ctx context.Context, copts CoordinatorOptions, n int, wopts Work
 		Coordinator: coord,
 		baseURL:     "http://" + ln.Addr().String(),
 		cancel:      cancel,
+		workersGone: make(chan struct{}),
 	}
 	srv := httpx.NewServerLimit("", coord.Handler(), MaxFrame)
 	l.wg.Add(1)
@@ -77,16 +81,23 @@ func StartLocal(ctx context.Context, copts CoordinatorOptions, n int, wopts Work
 		}
 		l.Workers = append(l.Workers, w)
 	}
+	var workers sync.WaitGroup
 	for _, w := range l.Workers {
 		w := w
-		l.wg.Add(1)
+		workers.Add(1)
 		go func() {
-			defer l.wg.Done()
+			defer workers.Done()
 			if err := w.Run(runCtx); err != nil && runCtx.Err() == nil {
 				l.recordErr(fmt.Errorf("cluster: worker %s: %w", w.ID(), err))
 			}
 		}()
 	}
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		workers.Wait()
+		close(l.workersGone)
+	}()
 	return l, nil
 }
 
@@ -96,16 +107,15 @@ func (l *Local) recordErr(err error) {
 	l.errs = append(l.errs, err)
 }
 
-// BaseURL returns the loopback coordinator address (external workers
-// may join an in-process campaign through it).
-func (l *Local) BaseURL() string { return l.baseURL }
-
-// Wait blocks until the campaign completes or ctx is cancelled, then
-// tears the loopback server and workers down and returns the merged
-// results.
+// Wait blocks until the campaign completes, every embedded worker has
+// exited, or ctx is cancelled, then tears the loopback server and
+// workers down and returns the merged results. When the workers are
+// all gone before the campaign is done (say, every one was evicted),
+// it returns their recorded errors joined.
 func (l *Local) Wait(ctx context.Context) ([]evalmc.SchemeResult, error) {
 	select {
 	case <-l.Coordinator.Done():
+	case <-l.workersGone:
 	case <-ctx.Done():
 	}
 	l.cancel()
@@ -116,26 +126,17 @@ func (l *Local) Wait(ctx context.Context) ([]evalmc.SchemeResult, error) {
 	if err := l.Coordinator.Err(); err != nil {
 		return nil, err
 	}
-	res, err := l.Coordinator.Results()
-	if err != nil {
-		return nil, err
+	select {
+	case <-l.Coordinator.Done():
+	default:
+		// Errors recorded after a complete merge are harmless (a worker
+		// evicted while others finished); here nothing is left to run.
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		errs := append([]error{errors.New("cluster: every worker exited before the campaign completed")}, l.errs...)
+		return nil, errors.Join(errs...)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, werr := range l.errs {
-		// Worker/server errors after a complete merge are harmless
-		// (e.g. a worker evicted mid-campaign while others finished),
-		// but surface the first one if the merge itself failed.
-		_ = werr
-	}
-	return res, nil
-}
-
-// Stop cancels the engine without waiting for completion (checkpointed
-// progress survives; a later StartLocal with a Resume hook continues).
-func (l *Local) Stop() {
-	l.cancel()
-	l.wg.Wait()
+	return l.Coordinator.Results()
 }
 
 // RunLocal is the one-call convenience: StartLocal + Wait.

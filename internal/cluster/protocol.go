@@ -24,16 +24,14 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"hbm2ecc/internal/bitvec"
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/evalmc"
+	"hbm2ecc/internal/httpx"
 )
 
 // Wire-protocol bounds. Frames beyond these are rejected at decode
@@ -43,7 +41,7 @@ const (
 	// ProtocolVersion is echoed in lease responses; workers refuse to
 	// run cells from a coordinator speaking a different version.
 	ProtocolVersion = 1
-	// MaxFrame bounds any single wire frame or checkpoint envelope.
+	// MaxFrame bounds any single wire frame.
 	MaxFrame = 1 << 20
 	// MaxSchemes bounds the campaign scheme list.
 	MaxSchemes = 64
@@ -56,9 +54,6 @@ const (
 	// MaxWorkerID bounds worker identifier length.
 	MaxWorkerID = 128
 )
-
-// CheckpointSchema tags coordinator checkpoint envelopes.
-const CheckpointSchema = "hbm2ecc/cluster_checkpoint/v1"
 
 // Spec describes one campaign: the scheme corpus and the exact
 // evaluation parameters. Two runs with equal specs produce bit-identical
@@ -116,8 +111,8 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Options translates the spec into evaluator options (shared by worker
-// execution and checkpoint compatibility checks).
+// Options translates the spec into evaluator options (worker execution
+// and per-cell trial counts).
 func (s Spec) Options() evalmc.Options {
 	opts := evalmc.Options{
 		Seed:         s.Seed,
@@ -145,21 +140,6 @@ func (s Spec) Cell(id int) (Cell, error) {
 		Scheme:  s.Schemes[id/np],
 		Pattern: id % np,
 	}, nil
-}
-
-// Equal reports whether two specs describe the same campaign.
-func (s Spec) Equal(o *Spec) bool {
-	if s.Seed != o.Seed || s.Samples3b != o.Samples3b || s.SamplesBeat != o.SamplesBeat ||
-		s.SamplesEntry != o.SamplesEntry || s.Shards != o.Shards ||
-		len(s.Schemes) != len(o.Schemes) || !bytes.Equal(s.Data, o.Data) {
-		return false
-	}
-	for i := range s.Schemes {
-		if s.Schemes[i] != o.Schemes[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Cell identifies one (scheme, pattern) unit of work.
@@ -367,69 +347,10 @@ type StatusResponse struct {
 	Workers       []WorkerStatus `json:"workers,omitempty"`
 }
 
-// Envelope is the coordinator's checkpoint: the spec it is valid for
-// plus the completed cells. A coordinator restarted with -resume
-// verifies the spec echo, marks the completed cells done, and continues
-// leasing the remainder.
-type Envelope struct {
-	Schema    string             `json:"schema"`
-	Spec      Spec               `json:"spec"`
-	Completed *evalmc.Checkpoint `json:"completed"`
-}
-
-// Validate checks the envelope schema, spec, and the consistency of the
-// completed-cell map with the spec.
-func (e *Envelope) Validate() error {
-	if e.Schema != CheckpointSchema {
-		return fmt.Errorf("cluster: checkpoint schema %q, want %q", e.Schema, CheckpointSchema)
-	}
-	if err := e.Spec.Validate(); err != nil {
-		return err
-	}
-	if e.Completed == nil {
-		return errors.New("cluster: checkpoint envelope has no completed map")
-	}
-	opts := e.Spec.Options()
-	if err := e.Completed.Compatible(opts); err != nil {
-		return err
-	}
-	known := make(map[string]bool, len(e.Spec.Schemes))
-	for _, s := range e.Spec.Schemes {
-		known[s] = true
-	}
-	for scheme, cells := range e.Completed.Results {
-		if !known[scheme] {
-			return fmt.Errorf("cluster: checkpoint covers scheme %q not in spec", scheme)
-		}
-		if len(cells) > int(errormodel.NumPatterns) {
-			return fmt.Errorf("cluster: checkpoint has %d cells for scheme %q", len(cells), scheme)
-		}
-	}
-	return nil
-}
-
-// decodeStrict unmarshals exactly one JSON document under the MaxFrame
-// bound, rejecting unknown fields and trailing garbage — the shared
-// front door for every wire frame, locked by the codec fuzz targets.
-func decodeStrict(data []byte, v any) error {
-	if len(data) > MaxFrame {
-		return fmt.Errorf("cluster: frame of %d bytes exceeds %d", len(data), MaxFrame)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("cluster: decoding frame: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errors.New("cluster: trailing data after frame")
-	}
-	return nil
-}
-
 // DecodeLeaseRequest decodes and validates a lease request frame.
 func DecodeLeaseRequest(data []byte) (LeaseRequest, error) {
 	var r LeaseRequest
-	if err := decodeStrict(data, &r); err != nil {
+	if err := httpx.DecodeStrict(data, MaxFrame, &r); err != nil {
 		return LeaseRequest{}, err
 	}
 	if err := r.Validate(); err != nil {
@@ -441,7 +362,7 @@ func DecodeLeaseRequest(data []byte) (LeaseRequest, error) {
 // DecodeLeaseResponse decodes and validates a lease response frame.
 func DecodeLeaseResponse(data []byte) (LeaseResponse, error) {
 	var r LeaseResponse
-	if err := decodeStrict(data, &r); err != nil {
+	if err := httpx.DecodeStrict(data, MaxFrame, &r); err != nil {
 		return LeaseResponse{}, err
 	}
 	if err := r.Validate(); err != nil {
@@ -453,23 +374,11 @@ func DecodeLeaseResponse(data []byte) (LeaseResponse, error) {
 // DecodeCompleteRequest decodes and validates a completion frame.
 func DecodeCompleteRequest(data []byte) (CompleteRequest, error) {
 	var r CompleteRequest
-	if err := decodeStrict(data, &r); err != nil {
+	if err := httpx.DecodeStrict(data, MaxFrame, &r); err != nil {
 		return CompleteRequest{}, err
 	}
 	if err := r.Validate(); err != nil {
 		return CompleteRequest{}, err
 	}
 	return r, nil
-}
-
-// DecodeEnvelope decodes and validates a checkpoint envelope.
-func DecodeEnvelope(data []byte) (*Envelope, error) {
-	var e Envelope
-	if err := decodeStrict(data, &e); err != nil {
-		return nil, err
-	}
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	return &e, nil
 }

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"hbm2ecc/internal/bitvec"
+	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/ecc"
 	"hbm2ecc/internal/errormodel"
@@ -79,12 +80,12 @@ type Options struct {
 	Ctx context.Context
 	// Resume, when set, is consulted before evaluating each (scheme,
 	// pattern) cell; returning ok=true skips the evaluation and reuses the
-	// cached result (see Checkpoint.Lookup). Because every cell draws from
+	// cached result (see OpenCheckpoint). Because every cell draws from
 	// its own deterministic sampler stream, skipping completed cells
 	// changes nothing about the remaining ones.
 	Resume func(scheme string, p errormodel.Pattern) (PatternResult, bool)
 	// Progress, when set, is called after each (scheme, pattern) cell is
-	// evaluated — the checkpoint hook (see Checkpoint.Store). It is not
+	// evaluated — the checkpoint hook (see OpenCheckpoint). It is not
 	// called for cells satisfied by Resume.
 	Progress func(scheme string, p errormodel.Pattern, r PatternResult)
 	// ErrTransform, when set, maps every raw error mask through a
@@ -97,7 +98,7 @@ type Options struct {
 	// concurrent use.
 	ErrTransform func(bitvec.V288) bitvec.V288
 	// OnDie names the ErrTransform's stage for checkpoint echoes (see
-	// Checkpoint); informational when ErrTransform is nil.
+	// OpenCheckpoint); informational when ErrTransform is nil.
 	OnDie string
 }
 
@@ -111,6 +112,24 @@ func (o *Options) defaults() {
 	if o.SamplesEntry <= 0 {
 		o.SamplesEntry = 200_000
 	}
+}
+
+// OpenCheckpoint opens the evaluation's (scheme, pattern) cell
+// checkpoint (see campaign.Open); pass its Lookup and Store as the
+// Resume and Progress hooks. The config echo is every option that
+// shapes a cell's trial stream: the seed, the three sample counts, the
+// shard split and the on-die stage.
+func OpenCheckpoint(opts Options, checkpointPath, resumePath string) (*campaign.Checkpoint[errormodel.Pattern, PatternResult], error) {
+	opts.defaults()
+	echo := struct {
+		Seed         int64  `json:"seed"`
+		Samples3b    int    `json:"samples_3b"`
+		SamplesBeat  int    `json:"samples_beat"`
+		SamplesEntry int    `json:"samples_entry"`
+		Shards       int    `json:"shards"`
+		OnDie        string `json:"ondie"`
+	}{opts.Seed, opts.Samples3b, opts.SamplesBeat, opts.SamplesEntry, opts.Shards, opts.OnDie}
+	return campaign.Open[errormodel.Pattern, PatternResult](echo, checkpointPath, resumePath)
 }
 
 // PatternResult holds outcome counts for one scheme on one pattern class.

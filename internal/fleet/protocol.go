@@ -1,14 +1,12 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"hbm2ecc/internal/fleet/xid"
+	"hbm2ecc/internal/httpx"
 )
 
 // Wire protocol (all bodies are single JSON documents bounded by
@@ -187,27 +185,10 @@ type EventsResponse struct {
 	Events  []xid.Event `json:"events"`
 }
 
-// decodeStrict unmarshals exactly one JSON document under the MaxFrame
-// bound, rejecting unknown fields and trailing garbage.
-func decodeStrict(data []byte, v any) error {
-	if len(data) > MaxFrame {
-		return fmt.Errorf("fleet: frame of %d bytes exceeds %d", len(data), MaxFrame)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("fleet: decoding frame: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errors.New("fleet: trailing data after frame")
-	}
-	return nil
-}
-
 // DecodeReportRequest decodes and validates a report frame.
 func DecodeReportRequest(data []byte) (ReportRequest, error) {
 	var r ReportRequest
-	if err := decodeStrict(data, &r); err != nil {
+	if err := httpx.DecodeStrict(data, MaxFrame, &r); err != nil {
 		return ReportRequest{}, err
 	}
 	if err := r.Validate(); err != nil {
@@ -219,7 +200,7 @@ func DecodeReportRequest(data []byte) (ReportRequest, error) {
 // DecodeReportResponse decodes and validates a report response frame.
 func DecodeReportResponse(data []byte) (ReportResponse, error) {
 	var r ReportResponse
-	if err := decodeStrict(data, &r); err != nil {
+	if err := httpx.DecodeStrict(data, MaxFrame, &r); err != nil {
 		return ReportResponse{}, err
 	}
 	if err := r.Validate(); err != nil {

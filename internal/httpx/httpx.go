@@ -36,8 +36,7 @@ import (
 
 // DefaultMaxBody bounds request and response bodies (1 MiB) unless the
 // caller picks a different limit. Every protocol in this repository
-// fits comfortably: the largest frame is a campaign checkpoint envelope
-// at a few tens of KiB.
+// fits comfortably: frames are a few tens of KiB at most.
 const DefaultMaxBody = 1 << 20
 
 // DefaultShutdownTimeout is how long Serve waits for in-flight requests
@@ -237,6 +236,25 @@ func ReadBody(r *http.Request, limit int64) ([]byte, error) {
 		return nil, fmt.Errorf("httpx: request body exceeds %d bytes", limit)
 	}
 	return body, nil
+}
+
+// DecodeStrict unmarshals exactly one JSON document of at most limit
+// bytes into v, rejecting unknown fields and trailing data — the front
+// door for every wire frame (serve, fleet, cluster) and for campaign
+// checkpoint files, locked by their fuzz targets.
+func DecodeStrict(data []byte, limit int, v any) error {
+	if len(data) > limit {
+		return fmt.Errorf("httpx: document of %d bytes exceeds %d", len(data), limit)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("httpx: decoding: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return errors.New("httpx: trailing data after the JSON document")
+	}
+	return nil
 }
 
 // Client is a hardened JSON-over-HTTP client: overall per-request

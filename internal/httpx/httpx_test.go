@@ -123,3 +123,25 @@ func TestServeDrainsGracefully(t *testing.T) {
 		t.Fatalf("served = %d, want 1", served.Load())
 	}
 }
+
+func TestDecodeStrict(t *testing.T) {
+	type frame struct {
+		A int `json:"a"`
+	}
+	var f frame
+	if err := DecodeStrict([]byte(` {"a":7}`+"\n"), 64, &f); err != nil || f.A != 7 {
+		t.Fatalf("valid document: %+v, %v", f, err)
+	}
+	for doc, want := range map[string]string{
+		`{"a":1,"b":2}`:                          "unknown field",
+		`{"a":1} {"a":2}`:                        "trailing data",
+		`{"a":1} x`:                              "trailing data",
+		`{"a":"one"}`:                            "decoding",
+		``:                                       "decoding",
+		`{"a":1` + strings.Repeat(" ", 64) + `}`: "exceeds",
+	} {
+		if err := DecodeStrict([]byte(doc), 64, &f); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("DecodeStrict(%q) = %v, want an error containing %q", doc, err, want)
+		}
+	}
+}

@@ -15,16 +15,14 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"hbm2ecc/internal/bitvec"
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/ecc"
+	"hbm2ecc/internal/httpx"
 )
 
 // Wire-protocol bounds.
@@ -246,28 +244,10 @@ func isHex(s string) bool {
 	return true
 }
 
-// decodeStrict unmarshals exactly one JSON document under the MaxFrame
-// bound, rejecting unknown fields and trailing garbage — the shared
-// front door for every frame, locked by the codec fuzz targets.
-func decodeStrict(data []byte, v any) error {
-	if len(data) > MaxFrame {
-		return fmt.Errorf("serve: frame of %d bytes exceeds %d", len(data), MaxFrame)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: decoding frame: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errors.New("serve: trailing data after frame")
-	}
-	return nil
-}
-
 // DecodeDecodeRequest decodes and validates a decode request frame.
 func DecodeDecodeRequest(data []byte) (DecodeRequest, error) {
 	var r DecodeRequest
-	if err := decodeStrict(data, &r); err != nil {
+	if err := httpx.DecodeStrict(data, MaxFrame, &r); err != nil {
 		return DecodeRequest{}, err
 	}
 	if err := r.Validate(); err != nil {
@@ -280,7 +260,7 @@ func DecodeDecodeRequest(data []byte) (DecodeRequest, error) {
 // (client side).
 func DecodeDecodeResponse(data []byte) (DecodeResponse, error) {
 	var r DecodeResponse
-	if err := decodeStrict(data, &r); err != nil {
+	if err := httpx.DecodeStrict(data, MaxFrame, &r); err != nil {
 		return DecodeResponse{}, err
 	}
 	if err := r.Validate(); err != nil {
@@ -293,7 +273,7 @@ func DecodeDecodeResponse(data []byte) (DecodeResponse, error) {
 // (client side).
 func DecodeSchemesResponse(data []byte) (SchemesResponse, error) {
 	var r SchemesResponse
-	if err := decodeStrict(data, &r); err != nil {
+	if err := httpx.DecodeStrict(data, MaxFrame, &r); err != nil {
 		return SchemesResponse{}, err
 	}
 	if err := r.Validate(); err != nil {

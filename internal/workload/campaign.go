@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/faults"
 	"hbm2ecc/internal/gpusim"
@@ -62,10 +63,11 @@ type Options struct {
 	// checkpoint never holds a half-evaluated cell.
 	Ctx context.Context
 	// Resume is consulted before evaluating each cell; ok=true reuses
-	// the cached result (see Checkpoint.Lookup).
+	// the cached result (see OpenCheckpoint).
 	Resume func(scheme string, k Kernel) (CellResult, bool)
 	// Progress is called after each evaluated cell (the checkpoint
-	// hook); not called for cells satisfied by Resume.
+	// hook, see OpenCheckpoint); not called for cells satisfied by
+	// Resume.
 	Progress func(scheme string, k Kernel, r CellResult)
 }
 
@@ -99,6 +101,22 @@ func (o *Options) defaults() {
 	if zero {
 		o.Profiles = faults.DefaultProfiles
 	}
+}
+
+// OpenCheckpoint opens the campaign's (scheme, kernel) cell checkpoint
+// (see campaign.Open); pass its Lookup and Store as the Resume and
+// Progress hooks. The config echo is every option that shapes a cell's
+// run stream: the seed, the run count, the fault-source mixture and the
+// non-DRAM source profiles.
+func OpenCheckpoint(opts Options, checkpointPath, resumePath string) (*campaign.Checkpoint[Kernel, CellResult], error) {
+	opts.defaults()
+	echo := struct {
+		Seed      int64                                   `json:"seed"`
+		Runs      int                                     `json:"runs"`
+		SourceFIT [faults.NumSources]float64              `json:"source_fit"`
+		Profiles  [faults.NumSources]faults.SourceProfile `json:"profiles"`
+	}{opts.Seed, opts.Runs, opts.SourceFIT, opts.Profiles}
+	return campaign.Open[Kernel, CellResult](echo, checkpointPath, resumePath)
 }
 
 // CellResult is the outcome ledger of one (scheme, kernel) cell: per-run

@@ -61,7 +61,11 @@ func TestCheckpointResume(t *testing.T) {
 
 	// Interrupted run: cancel after two completed cells.
 	ctx, cancel := context.WithCancel(context.Background())
-	ck := NewCheckpoint(opts)
+	path := filepath.Join(t.TempDir(), "workload.ckpt")
+	ck, err := OpenCheckpoint(opts, path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	first := opts
 	first.Ctx = ctx
 	done := 0
@@ -79,15 +83,11 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// Round-trip the checkpoint through disk, as a real resume would.
-	path := filepath.Join(t.TempDir(), "workload.ckpt")
-	if err := ck.Save(path); err != nil {
+	if err := ck.Err(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCheckpoint(path)
+	loaded, err := OpenCheckpoint(opts, "", path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.Compatible(opts); err != nil {
 		t.Fatal(err)
 	}
 

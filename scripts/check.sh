@@ -29,6 +29,9 @@ go test -run '^$' -fuzz FuzzSlicedVsScalarBatch -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzSynBitRowsVsSyndromes -fuzztime 10s ./internal/rscode/
 go test -run '^$' -fuzz FuzzOnDieDecodeVsRef -fuzztime 10s ./internal/ondie/
 
+echo "== short fuzz: campaign checkpoint loader =="
+go test -run '^$' -fuzz FuzzCheckpointOpen -fuzztime 10s ./internal/campaign/
+
 echo "== bench smoke: one iteration of every benchmark =="
 HBM2ECC_MC_SAMPLES=2000 HBM2ECC_CAMPAIGN_RUNS=20 \
 	go test -run '^$' -bench . -benchtime 1x ./...
@@ -179,6 +182,29 @@ go run ./cmd/ecceval -workload -workload-runs 40 -workload-schemes none,DuetECC 
 for col in masked "tolerable SDC" "critical SDC" DUE crash "End-to-end FIT"; do
 	grep -q "$col" "$wl_out" || { echo "workload report missing '$col'"; cat "$wl_out"; exit 1; }
 done
+
+echo "== checkpoint smoke: resumed runs reprint the report; campaignd resumes ecceval -workers =="
+ck_dir="$serve_dir/checkpoint"
+mkdir -p "$ck_dir"
+go build -o "$serve_dir/ecceval" ./cmd/ecceval
+go build -o "$serve_dir/campaignd" ./cmd/campaignd
+# The resume banner goes to stderr, so stdout must match byte for byte.
+"$serve_dir/ecceval" -samples 2000 -checkpoint "$ck_dir/f" >"$ck_dir/f.out"
+"$serve_dir/ecceval" -samples 2000 -resume "$ck_dir/f" >"$ck_dir/f.resumed" 2>/dev/null
+cmp "$ck_dir/f.out" "$ck_dir/f.resumed"
+if "$serve_dir/ecceval" -samples 3000 -resume "$ck_dir/f" >/dev/null 2>&1; then
+	echo "ecceval resumed a checkpoint taken under different -samples"; exit 1
+fi
+"$serve_dir/ecceval" -workload -workload-runs 40 -checkpoint "$ck_dir/g" >"$ck_dir/g.out"
+"$serve_dir/ecceval" -workload -workload-runs 40 -resume "$ck_dir/g" >"$ck_dir/g.resumed" 2>/dev/null
+cmp "$ck_dir/g.out" "$ck_dir/g.resumed"
+# One file format for both coordinators: campaignd finishes a campaign
+# from the checkpoint ecceval -workers wrote, with the same report.
+"$serve_dir/ecceval" -workers 2 -samples 2000 -checkpoint "$ck_dir/h" |
+	grep -v '^Distributed campaign' >"$ck_dir/h.out"
+"$serve_dir/campaignd" -workers 1 -samples 2000 -listen 127.0.0.1:0 -resume "$ck_dir/h" \
+	>"$ck_dir/h.resumed" 2>"$ck_dir/campaignd.log" || { cat "$ck_dir/campaignd.log"; exit 1; }
+cmp "$ck_dir/h.out" "$ck_dir/h.resumed"
 
 echo "== bench smoke: cmd/bench -workload -quick (resume differential) =="
 go run ./cmd/bench -workload -quick -out "$serve_dir/bench_workload.json" >/dev/null
