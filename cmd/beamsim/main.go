@@ -2,10 +2,11 @@
 // GPU: the displacement-damage studies (Fig. 3) or a full soft-error
 // pattern campaign whose mismatch log feeds cmd/classify.
 //
-// Campaigns are interruptible: with -checkpoint, progress is snapshotted
-// atomically after every run, SIGINT/SIGTERM stops the campaign cleanly
-// (exit 0) after writing a final checkpoint, and -resume continues from
-// the snapshot — producing statistics identical to an uninterrupted run.
+// Campaigns are interruptible: with -checkpoint, every completed run is
+// appended to the checkpoint file, SIGINT/SIGTERM stops the campaign
+// cleanly (exit 0) after the last completed run, and -resume continues
+// from the file — producing statistics identical to an uninterrupted
+// run.
 package main
 
 import (
@@ -36,7 +37,7 @@ func main() {
 	progress := flag.Int("progress", 0,
 		"campaign mode: print a one-line status every N runs (0 = silent)")
 	checkpoint := flag.String("checkpoint", "",
-		"campaign mode: snapshot progress to this file after every run (atomic write)")
+		"campaign mode: append every completed run to this checkpoint file")
 	resume := flag.String("resume", "",
 		"campaign mode: resume from this checkpoint file (same -seed/-runs required)")
 	metrics := flag.String("metrics", "",
@@ -164,27 +165,16 @@ func utilizationExperiment(seed int64) {
 
 func campaignExperiment(ctx context.Context, seed int64, runs int, out, rawLogs string, progress int, ckptPath, resumePath string) {
 	cfg := experiments.CampaignConfig{Seed: seed, Runs: runs, Ctx: ctx}
+	ckpt, err := experiments.OpenCheckpoint(cfg, ckptPath, resumePath)
+	if err != nil {
+		log.Fatalf("opening checkpoint: %v", err)
+	}
+	defer ckpt.Close()
 	if resumePath != "" {
-		ckpt, err := experiments.LoadCampaignCheckpoint(resumePath)
-		if err != nil {
-			log.Fatalf("loading checkpoint: %v", err)
-		}
-		cfg.Checkpoint = ckpt
-		if ckptPath == "" {
-			ckptPath = resumePath
-		}
-		fmt.Printf("Resuming campaign from %s: %d/%d runs complete.\n",
-			resumePath, ckpt.Completed, ckpt.Runs)
+		// stderr, so a resumed run's stdout matches an uninterrupted one.
+		log.Printf("resuming campaign from %s: %d/%d runs complete", resumePath, ckpt.Cells(), runs)
 	}
-	var latest *experiments.CampaignCheckpoint
-	if ckptPath != "" {
-		cfg.OnCheckpoint = func(c *experiments.CampaignCheckpoint) {
-			latest = c
-			if err := c.Save(ckptPath); err != nil {
-				log.Fatalf("writing checkpoint: %v", err)
-			}
-		}
-	}
+	cfg.Checkpoint = ckpt
 	fmt.Printf("Running %d microbenchmark runs in the beam...\n", runs)
 	if progress > 0 {
 		start := time.Now()
@@ -202,19 +192,7 @@ func campaignExperiment(ctx context.Context, seed int64, runs int, out, rawLogs 
 		log.Fatal(err)
 	}
 	if ctx.Err() != nil && len(logs) < runs {
-		// Interrupted: the last per-run snapshot is already the final
-		// checkpoint; write it once more so a missing/partial file can't
-		// slip through, then exit cleanly.
-		if ckptPath != "" && latest != nil {
-			if err := latest.Save(ckptPath); err != nil {
-				log.Fatalf("writing final checkpoint: %v", err)
-			}
-			fmt.Printf("interrupted after %d/%d runs; resume with -resume %s\n",
-				len(logs), runs, ckptPath)
-		} else {
-			fmt.Printf("interrupted after %d/%d runs (no -checkpoint path; progress not saved)\n",
-				len(logs), runs)
-		}
+		fmt.Println(ckpt.Interrupted())
 		return
 	}
 	if rawLogs != "" {

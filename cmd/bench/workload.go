@@ -150,9 +150,11 @@ func resumeDifferential(opts workload.Options, full []workload.CellResult) (bool
 	if err := ck.Err(); err != nil {
 		return false, err
 	}
+	ck.Close()
 	if ck, err = workload.OpenCheckpoint(opts, "", path); err != nil {
 		return false, err
 	}
+	defer ck.Close()
 	resumed := opts
 	resumed.Resume = ck.Lookup
 	got, err := workload.Campaign(resumed)

@@ -43,7 +43,7 @@ func main() {
 	seed := flag.Int64("seed", 2021, "campaign seed")
 	samples := flag.Int("samples", 400_000, "Monte-Carlo samples per sampled pattern class")
 	withDSC := flag.Bool("dsc", false, "include the rejected (36,32) DSC organization")
-	checkpoint := flag.String("checkpoint", "", "snapshot completed cells to this file (atomic write; same format as ecceval -workers)")
+	checkpoint := flag.String("checkpoint", "", "append completed cells to this checkpoint file (same format as ecceval -workers)")
 	resume := flag.String("resume", "", "resume from this checkpoint file (spec must match the flags)")
 	leaseTTL := flag.Duration("lease-ttl", 2*time.Minute, "cell lease TTL before re-queue")
 	flag.Parse()
@@ -115,6 +115,7 @@ func runCoordinator(ctx context.Context, listen string, workers int, seed int64,
 	if err != nil {
 		return err
 	}
+	defer ckpt.Close()
 	copts := cluster.CoordinatorOptions{Spec: spec, LeaseTTL: leaseTTL}
 	if ckpt != nil {
 		if resume != "" {

@@ -3,9 +3,10 @@
 // outcome probabilities) for all nine schemes.
 //
 // The evaluation is interruptible: with -checkpoint, every completed
-// (scheme, pattern) cell is snapshotted atomically, SIGINT/SIGTERM stops
-// the run cleanly (exit 0), and -resume skips the completed cells —
-// yielding results identical to an uninterrupted evaluation.
+// (scheme, pattern) cell is appended to the checkpoint file,
+// SIGINT/SIGTERM stops the run cleanly (exit 0), and -resume skips the
+// completed cells — yielding results identical to an uninterrupted
+// evaluation.
 //
 // With -workers N the evaluation runs on the distributed campaign
 // engine (internal/cluster) in-process: a coordinator served over
@@ -37,7 +38,7 @@ func main() {
 		"run on the distributed campaign engine with this many in-process workers (0 = classic sequential evaluation)")
 	withDSC := flag.Bool("dsc", false, "also evaluate the rejected (36,32) DSC organization (slow decoder)")
 	checkpoint := flag.String("checkpoint", "",
-		"snapshot each completed (scheme, pattern) cell to this file (atomic write)")
+		"append each completed (scheme, pattern) cell to this checkpoint file")
 	resume := flag.String("resume", "",
 		"resume from this checkpoint file (same -seed/-samples required)")
 	metrics := flag.String("metrics", "",
@@ -154,14 +155,18 @@ func runSequential(ctx context.Context, names []string, seed int64, samples int,
 	if err != nil {
 		return nil, err
 	}
+	defer ckpt.Close()
 	if ckpt != nil {
 		resumed(resume, ckpt.Cells())
 		opts.Resume, opts.Progress = ckpt.Lookup, ckpt.Store
 	}
 	results, err := evalmc.EvaluateAllCtx(schemes, opts)
 	if err != nil {
-		fmt.Println(ckpt.Interrupted())
-		return nil, nil
+		if ctx.Err() != nil {
+			fmt.Println(ckpt.Interrupted())
+			return nil, nil
+		}
+		return nil, err
 	}
 	return results, ckpt.Err()
 }
@@ -184,6 +189,7 @@ func runCluster(ctx context.Context, names []string, workers int, seed int64, sa
 	if err != nil {
 		return nil, err
 	}
+	defer ckpt.Close()
 	if ckpt != nil {
 		resumed(resume, ckpt.Cells())
 		copts.Resume, copts.Progress = ckpt.Lookup, ckpt.Store

@@ -31,6 +31,7 @@ func runWorkload(ctx context.Context, seed int64, runs int, schemeList, checkpoi
 	if err != nil {
 		return err
 	}
+	defer ckpt.Close()
 	if ckpt != nil {
 		resumed(resume, ckpt.Cells())
 		opts.Resume, opts.Progress = ckpt.Lookup, ckpt.Store

@@ -1,13 +1,14 @@
-// Package campaign holds the one checkpoint every cell-structured
-// campaign shares: the evalmc Monte-Carlo evaluation (Table 2, Fig. 8),
-// the workload outcome engine and the distributed cluster coordinator.
+// Package campaign holds the one checkpoint every resumable campaign
+// shares: the beam campaign (Figs. 4/5, Table 1), the evalmc
+// Monte-Carlo evaluation (Table 2, Fig. 8), the workload outcome engine
+// and the distributed cluster coordinator.
 //
-// A campaign is a grid of (scheme, key) cells, each drawing from its
-// own deterministic stream, so completed cells can be restored in any
-// order and the remaining ones are unaffected: a resumed campaign is
-// bit-identical to an uninterrupted one. The checkpoint file records a
-// schema tag, the caller's config echo and the completed cells; a load
-// refuses any file whose echo differs from the resuming run's.
+// A campaign is a grid of (scheme, key) cells whose results are
+// deterministic, so completed cells can be restored and a resumed
+// campaign is bit-identical to an uninterrupted one. The checkpoint
+// file is a resilience.WAL log: frame 0 holds the schema tag and the
+// caller's config echo, and every later frame one completed cell, so a
+// Store costs that cell, not the whole campaign.
 package campaign
 
 import (
@@ -16,48 +17,58 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"sync"
 
 	"hbm2ecc/internal/httpx"
 	"hbm2ecc/internal/resilience"
 )
 
-// Schema tags every checkpoint file; files without it (or with another
-// tag) are refused.
-const Schema = "hbm2ecc/campaign_checkpoint/v1"
+// Schema tags every checkpoint file's header frame; files without it
+// (or with another tag) are refused.
+const Schema = "hbm2ecc/campaign_checkpoint/v2"
 
-// MaxFileBytes bounds a checkpoint file; larger files are refused
-// before they are read.
-const MaxFileBytes = 64 << 20
+// MaxFrameBytes bounds one frame: the header or one cell.
+const MaxFrameBytes = 64 << 20
 
-// file is the on-disk layout. Results are keyed scheme → K.String() so
-// the JSON stays human-readable.
-type file[R any] struct {
-	Schema  string                  `json:"schema"`
-	Config  json.RawMessage         `json:"config"`
-	Results map[string]map[string]R `json:"results"`
+// header is frame 0 of every checkpoint file.
+type header struct {
+	Schema string          `json:"schema"`
+	Config json.RawMessage `json:"config"`
 }
 
-// Checkpoint accumulates the completed cells of one campaign and, when
-// it has a path, saves them atomically after every Store. Lookup and
-// Store are safe for concurrent use.
+// cell is every later frame: one completed cell.
+type cell[R any] struct {
+	Scheme string `json:"scheme"`
+	Key    string `json:"key"`
+	Result R      `json:"result"`
+}
+
+// Checkpoint accumulates the completed cells of one campaign and
+// appends each one to its file as it is stored. Lookup and Store are
+// safe for concurrent use.
 type Checkpoint[K fmt.Stringer, R any] struct {
 	path string
 
-	mu  sync.Mutex
-	f   file[R]
-	err error // first save failure
+	mu      sync.Mutex
+	w       *resilience.WAL
+	results map[[2]string]R // (scheme, K.String()) → result
+	err     error           // first save failure
 }
 
 // Open wires a campaign's -checkpoint/-resume pair. With resumePath it
-// loads that file strictly — refusing a wrong schema, unknown fields,
-// trailing data, a file over MaxFileBytes, and a config echo that
-// differs from config — and saves back to checkpointPath, or to resumePath when
-// checkpointPath is empty. With only checkpointPath it starts empty.
-// With neither it returns nil: checkpointing is off.
+// loads that file strictly and appends to it, or, when checkpointPath
+// names another file, rewrites the loaded cells there and appends to
+// that. With only checkpointPath it starts a file holding just the
+// header. With neither it returns nil: checkpointing is off.
 //
-// config is the caller's echo of every option that shapes cell results;
-// it is compared as canonical JSON.
+// The load only reads the file. It refuses a file without an intact
+// header frame (empty, plain text, or an older JSON checkpoint), a
+// wrong schema, a config echo that differs from config as canonical
+// JSON, an intact frame that does not decode strictly, and a cell
+// stored twice with different results. A torn or CRC-failing tail — a
+// crash mid-append — is dropped (those cells are recomputed) and, when
+// appending to the resumed file, cut off by resilience.OpenWAL.
 func Open[K fmt.Stringer, R any](config any, checkpointPath, resumePath string) (*Checkpoint[K, R], error) {
 	if checkpointPath == "" && resumePath == "" {
 		return nil, nil
@@ -69,63 +80,96 @@ func Open[K fmt.Stringer, R any](config any, checkpointPath, resumePath string) 
 	if err != nil {
 		return nil, fmt.Errorf("campaign: encoding config echo: %w", err)
 	}
-	c := &Checkpoint[K, R]{
-		path: checkpointPath,
-		f:    file[R]{Schema: Schema, Config: echo, Results: map[string]map[string]R{}},
+	c := &Checkpoint[K, R]{path: checkpointPath, results: map[[2]string]R{}}
+	if resumePath != "" {
+		if err := c.load(resumePath, echo); err != nil {
+			return nil, err
+		}
+		if c.path == "" {
+			c.path = resumePath
+		}
 	}
-	if resumePath == "" {
-		return c, nil
+	fresh := c.path != resumePath
+	if fresh {
+		err = os.WriteFile(c.path, nil, 0o644)
 	}
-	if c.path == "" {
-		c.path = resumePath
+	if err == nil {
+		c.w, err = resilience.OpenWAL(c.path, resilience.WALOptions{MaxRecord: MaxFrameBytes}, nil)
 	}
-	loaded, err := load[R](resumePath)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	got, err := canonical(loaded.Config)
+	if fresh {
+		err = c.append(header{Schema: Schema, Config: echo})
+		for key, r := range c.results {
+			if err == nil {
+				err = c.append(cell[R]{key[0], key[1], r})
+			}
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("campaign: %s: config echo: %w", resumePath, err)
-	}
-	if !bytes.Equal(got, echo) {
-		return nil, fmt.Errorf("campaign: %s was taken under config %s, not %s", resumePath, got, echo)
-	}
-	if loaded.Results != nil {
-		c.f.Results = loaded.Results
+		c.w.Close()
+		return nil, fmt.Errorf("campaign: starting %s: %w", c.path, err)
 	}
 	return c, nil
 }
 
-// load reads and strictly decodes one checkpoint file.
-func load[R any](path string) (file[R], error) {
-	var f file[R]
-	st, err := os.Stat(path)
+// load reads path: frame 0 must be a header carrying Schema and echo,
+// and every later intact frame a cell that decodes strictly.
+func (c *Checkpoint[K, R]) load(path string, echo []byte) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return f, fmt.Errorf("campaign: %w", err)
+		return fmt.Errorf("campaign: %w", err)
 	}
-	if st.Size() > MaxFileBytes {
-		return f, fmt.Errorf("campaign: %s is %d bytes (max %d)", path, st.Size(), MaxFileBytes)
+	defer f.Close()
+	frames, _, err := resilience.ScanWAL(f, MaxFrameBytes, func(rec []byte) error {
+		if echo != nil {
+			err := checkHeader(rec, echo)
+			echo = nil
+			return err
+		}
+		var fr cell[R]
+		if err := httpx.DecodeStrict(rec, MaxFrameBytes, &fr); err != nil {
+			return err
+		}
+		key := [2]string{fr.Scheme, fr.Key}
+		if old, ok := c.results[key]; ok && !reflect.DeepEqual(old, fr.Result) {
+			return fmt.Errorf("cell %s/%s stored twice with different results", fr.Scheme, fr.Key)
+		}
+		c.results[key] = fr.Result
+		return nil
+	})
+	switch {
+	case err != nil:
+		return fmt.Errorf("campaign: %s frame %d: %w", path, frames, err)
+	case frames == 0:
+		return fmt.Errorf("campaign: %s is not a %s file (no intact header frame)", path, Schema)
 	}
-	data, err := os.ReadFile(path)
+	return nil
+}
+
+// checkHeader validates frame 0 against the resuming run's echo. The tag
+// is checked before the strict decode, so a file written in another
+// layout is named as such rather than as an unknown field.
+func checkHeader(rec, echo []byte) error {
+	var h header
+	if err := json.NewDecoder(bytes.NewReader(rec)).Decode(&h); err != nil {
+		return fmt.Errorf("decoding header: %w", err)
+	}
+	if h.Schema != Schema {
+		return fmt.Errorf("has schema %q, want %q", h.Schema, Schema)
+	}
+	if err := httpx.DecodeStrict(rec, MaxFrameBytes, &h); err != nil {
+		return fmt.Errorf("header: %w", err)
+	}
+	got, err := canonical(h.Config)
 	if err != nil {
-		return f, fmt.Errorf("campaign: %w", err)
+		return fmt.Errorf("config echo: %w", err)
 	}
-	// Check the tag before the strict decode, so a file written in an
-	// older or foreign layout is named as such rather than as an
-	// unknown field.
-	var tag struct {
-		Schema string `json:"schema"`
+	if !bytes.Equal(got, echo) {
+		return fmt.Errorf("was taken under config %s, not %s", got, echo)
 	}
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&tag); err != nil {
-		return f, fmt.Errorf("campaign: decoding %s: %w", path, err)
-	}
-	if tag.Schema != Schema {
-		return f, fmt.Errorf("campaign: %s has schema %q, want %q", path, tag.Schema, Schema)
-	}
-	if err := httpx.DecodeStrict(data, MaxFileBytes, &f); err != nil {
-		return f, fmt.Errorf("campaign: %s: %w", path, err)
-	}
-	return f, nil
+	return nil
 }
 
 // canonical re-encodes a JSON document compactly with sorted object
@@ -143,33 +187,58 @@ func canonical(raw []byte) ([]byte, error) {
 	return json.Marshal(tree)
 }
 
+// append writes v as one frame and fsyncs it.
+func (c *Checkpoint[K, R]) append(v any) error {
+	rec, err := json.Marshal(v)
+	switch {
+	case err != nil:
+		return err
+	case c.w == nil:
+		return errors.New("checkpoint is closed")
+	}
+	if err := c.w.Append(rec); err != nil {
+		return err
+	}
+	return c.w.Sync()
+}
+
 // Lookup returns the cached result for one cell. It has the shape of
 // the campaigns' Resume hooks.
 func (c *Checkpoint[K, R]) Lookup(scheme string, k K) (R, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, ok := c.f.Results[scheme][k.String()]
+	r, ok := c.results[[2]string{scheme, k.String()}]
 	return r, ok
 }
 
-// Store records one completed cell and, when the checkpoint has a path,
-// saves the whole file atomically (resilience.SaveJSON). It has the
-// shape of the campaigns' Progress hooks; a save failure is kept for
-// Err.
+// Store records one completed cell and appends it to the file, fsynced
+// before Store returns. It has the shape of the campaigns' Progress
+// hooks; a save failure is kept for Err and stops further appends.
 func (c *Checkpoint[K, R]) Store(scheme string, k K, r R) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.f.Results[scheme]
-	if m == nil {
-		m = map[string]R{}
-		c.f.Results[scheme] = m
-	}
-	m[k.String()] = r
-	if c.path != "" && c.err == nil {
-		if err := resilience.SaveJSON(c.path, &c.f); err != nil {
+	c.results[[2]string{scheme, k.String()}] = r
+	if c.err == nil {
+		if err := c.append(cell[R]{scheme, k.String(), r}); err != nil {
 			c.err = fmt.Errorf("campaign: saving %s: %w", c.path, err)
 		}
 	}
+}
+
+// Close closes the checkpoint file; nil and closed checkpoints are
+// no-ops.
+func (c *Checkpoint[K, R]) Close() error {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.w == nil {
+		return nil
+	}
+	err := c.w.Close()
+	c.w = nil
+	return err
 }
 
 // Cells returns the number of completed cells (0 for a nil checkpoint).
@@ -179,11 +248,7 @@ func (c *Checkpoint[K, R]) Cells() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, m := range c.f.Results {
-		n += len(m)
-	}
-	return n
+	return len(c.results)
 }
 
 // Err returns the first save failure, if any (nil for a nil checkpoint).

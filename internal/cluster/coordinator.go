@@ -188,7 +188,8 @@ func OpenCheckpoint(spec Spec, checkpointPath, resumePath string) (*campaign.Che
 }
 
 // NewCoordinator builds a coordinator for opts.Spec, consulting the
-// Resume hook for already-completed cells.
+// Resume hook for already-completed cells; a resumed result must pass
+// the same evalmc.CheckCell as a worker's completion.
 func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	opts.defaults()
 	if err := opts.Spec.Validate(); err != nil {
@@ -212,6 +213,9 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		cs.state = statePending
 		if opts.Resume != nil {
 			if r, ok := opts.Resume(cell.Scheme, cell.PatternP()); ok {
+				if err := evalmc.CheckCell(cell.PatternP(), r, evalOpts); err != nil {
+					return nil, fmt.Errorf("cluster: resumed cell %s / %s: %w", cell.Scheme, cell.PatternP(), err)
+				}
 				cs.state = stateDone
 				cs.result = r
 				c.completed++
@@ -287,8 +291,21 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 		}
 		return resp
 	}
+	// A worker asking while it still holds unexpired leases never saw
+	// our answer (a duplicated or retried request, or a restart under
+	// the same ID): re-issue those leases rather than grant cells it
+	// will never run, which would expire and charge it failures.
+	for id := range c.cells {
+		if cs := &c.cells[id]; cs.state == stateLeased && cs.worker == req.WorkerID {
+			ttl := int64(cs.expires.Sub(now) / time.Millisecond)
+			resp.Leases = append(resp.Leases, Lease{ID: cs.leaseID, Cell: cs.cell, TTLMS: ttl})
+		}
+	}
 	want := req.MaxCells
-	if want <= 0 {
+	switch {
+	case len(resp.Leases) > 0:
+		want = 0 // re-issued; no new grants
+	case want <= 0:
 		want = 1
 	}
 	// Lease the heaviest pending cells first (LPT): stable under the
@@ -364,16 +381,9 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 
 	// The expected trial total is known from the spec; a mismatch means
 	// a broken or malicious worker, never a legitimate result.
-	if int64(req.Result.N) != cs.cost {
+	if err := evalmc.CheckCell(cs.cell.PatternP(), req.Result, c.opts.Spec.Options()); err != nil {
 		c.recordWorkerFailureLocked(w, now)
-		return CompleteResponse{}, fmt.Errorf(
-			"cluster: cell %d completed with N=%d, want %d", req.Cell.ID, req.Result.N, cs.cost)
-	}
-	wantExhaustive := errormodel.EnumerableCount(cs.cell.PatternP()) >= 0
-	if req.Result.Exhaustive != wantExhaustive {
-		c.recordWorkerFailureLocked(w, now)
-		return CompleteResponse{}, fmt.Errorf(
-			"cluster: cell %d exhaustive=%v, want %v", req.Cell.ID, req.Result.Exhaustive, wantExhaustive)
+		return CompleteResponse{}, fmt.Errorf("cluster: cell %d: %w", req.Cell.ID, err)
 	}
 
 	resp := CompleteResponse{}

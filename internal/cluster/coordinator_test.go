@@ -3,6 +3,7 @@ package cluster
 import (
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -278,5 +279,84 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 		if l.Cell.Scheme == spec.Schemes[0] {
 			t.Fatalf("resumed cell leased: %+v", l.Cell)
 		}
+	}
+}
+
+// TestDuplicatedLeaseRequestsReissue delivers every lease request twice,
+// as a duplicating network does, and the worker runs only the cells of
+// the answer it sees (the second). The duplicate must re-issue the
+// worker's unexpired leases instead of granting cells nobody runs, so
+// the campaign finishes with no requeue and no failure charged.
+func TestDuplicatedLeaseRequestsReissue(t *testing.T) {
+	clock := &fakeClock{now: time.Unix(1000, 0)}
+	c := newTestCoordinator(t, clock, 0)
+	for i := 0; ; i++ {
+		if i > 10*c.Spec().NumCells() {
+			t.Fatalf("campaign not done after %d lease rounds: %+v", i, c.Status())
+		}
+		req := LeaseRequest{WorkerID: "w1", MaxCells: 2}
+		first := c.Lease(req)
+		seen := c.Lease(req)
+		if seen.Done {
+			break
+		}
+		if len(seen.Leases) == 0 {
+			// Nothing grantable: let any phantom lease expire.
+			clock.Advance(2 * time.Second)
+			c.Sweep()
+			continue
+		}
+		byID := func(ls []Lease) []Lease {
+			sort.Slice(ls, func(i, j int) bool { return ls[i].ID < ls[j].ID })
+			return ls
+		}
+		if !reflect.DeepEqual(byID(first.Leases), byID(seen.Leases)) {
+			t.Errorf("round %d: duplicate request got %+v, first got %+v", i, seen.Leases, first.Leases)
+		}
+		for _, l := range seen.Leases {
+			if _, err := c.Complete(CompleteRequest{
+				WorkerID: "w1", LeaseID: l.ID, Cell: l.Cell, Result: resultFor(c, l.Cell),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clock.Advance(100 * time.Millisecond)
+	}
+	st := c.Status()
+	if st.Requeues != 0 || len(st.Workers) != 1 || st.Workers[0].Failures != 0 {
+		t.Fatalf("duplicated lease requests cost requeues or failures: %+v", st)
+	}
+}
+
+// TestResumeRefusesTamperedCells resumes a coordinator from a checkpoint
+// holding results no worker could deliver for the spec; each must be
+// refused like a worker's completion with the same values.
+func TestResumeRefusesTamperedCells(t *testing.T) {
+	spec := testSpec()
+	p := errormodel.Bits3
+	n := evalmc.CellTrials(p, spec.Options())
+	for name, r := range map[string]evalmc.PatternResult{
+		"short-N":         {Pattern: p, N: 5, DCE: 5},
+		"counts-mismatch": {Pattern: p, N: n, DCE: n - 1},
+		"exhaustive-flag": {Pattern: p, Exhaustive: true, N: n, DCE: n},
+		"other-pattern":   {Pattern: errormodel.Bit1, N: n, DCE: n},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ckpt")
+			ckpt, err := OpenCheckpoint(spec, path, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckpt.Store(spec.Schemes[0], p, r)
+			ckpt.Close()
+			loaded, err := OpenCheckpoint(spec, "", path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			if _, err := NewCoordinator(CoordinatorOptions{Spec: spec, Resume: loaded.Lookup}); err == nil {
+				t.Fatalf("tampered cell %+v accepted", r)
+			}
+		})
 	}
 }

@@ -286,15 +286,11 @@ func (r *CompleteRequest) Validate() error {
 	if r.Cell.Pattern < 0 || r.Cell.Pattern >= int(errormodel.NumPatterns) {
 		return fmt.Errorf("cluster: cell pattern %d out of range", r.Cell.Pattern)
 	}
-	res := &r.Result
-	if int(res.Pattern) != r.Cell.Pattern {
-		return fmt.Errorf("cluster: result pattern %d does not match cell pattern %d", res.Pattern, r.Cell.Pattern)
+	if err := r.Result.Check(r.Cell.PatternP()); err != nil {
+		return err
 	}
-	if res.N < 0 || res.N > MaxSamples || res.DCE < 0 || res.DUE < 0 || res.SDC < 0 {
-		return errors.New("cluster: negative or oversized result counts")
-	}
-	if res.DCE+res.DUE+res.SDC != res.N {
-		return fmt.Errorf("cluster: result counts %d+%d+%d != N=%d", res.DCE, res.DUE, res.SDC, res.N)
+	if r.Result.N > MaxSamples {
+		return errors.New("cluster: oversized result counts")
 	}
 	if r.ElapsedNS < 0 {
 		return errors.New("cluster: negative elapsed time")

@@ -99,3 +99,39 @@ func TestCheckpointCompatibility(t *testing.T) {
 		t.Fatal("checkpoint accepted a different seed")
 	}
 }
+
+// TestResumeRefusesTamperedCells stores results no evaluation under the
+// checkpoint's options could produce, and resumes from the file: each
+// must fail the evaluation rather than print as a Table 2 cell.
+func TestResumeRefusesTamperedCells(t *testing.T) {
+	s := core.NewDuetECC()
+	opts := smallOpts()
+	n := CellTrials(errormodel.Bits3, opts)
+	for name, r := range map[string]PatternResult{
+		"short-N":         {Pattern: errormodel.Bits3, N: 5, DCE: 5},
+		"counts-mismatch": {Pattern: errormodel.Bits3, N: n, DCE: n - 1},
+		"exhaustive-flag": {Pattern: errormodel.Bits3, Exhaustive: true, N: n, DCE: n},
+		"other-pattern":   {Pattern: errormodel.Bit1, N: n, DCE: n},
+		"negative-count":  {Pattern: errormodel.Bits3, N: n, DCE: n + 1, SDC: -1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "eval.ckpt")
+			ckpt, err := OpenCheckpoint(opts, path, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckpt.Store(s.Name(), errormodel.Bits3, r)
+			ckpt.Close()
+			loaded, err := OpenCheckpoint(opts, "", path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			ropts := opts
+			ropts.Resume = loaded.Lookup
+			if _, err := EvaluateCtx(s, ropts); err == nil {
+				t.Fatalf("tampered cell %+v accepted", r)
+			}
+		})
+	}
+}

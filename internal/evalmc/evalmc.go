@@ -80,7 +80,8 @@ type Options struct {
 	Ctx context.Context
 	// Resume, when set, is consulted before evaluating each (scheme,
 	// pattern) cell; returning ok=true skips the evaluation and reuses the
-	// cached result (see OpenCheckpoint). Because every cell draws from
+	// cached result (see OpenCheckpoint) once CheckCell accepts it; a
+	// result it refuses fails the evaluation. Because every cell draws from
 	// its own deterministic sampler stream, skipping completed cells
 	// changes nothing about the remaining ones.
 	Resume func(scheme string, p errormodel.Pattern) (PatternResult, bool)
@@ -139,6 +140,32 @@ type PatternResult struct {
 	N          int
 	DCE, DUE   int
 	SDC        int
+}
+
+// Check verifies that r is internally consistent as a result for
+// pattern class p: the pattern matches and the non-negative outcome
+// counts sum to N.
+func (r PatternResult) Check(p errormodel.Pattern) error {
+	if r.Pattern != p || r.N < 0 || r.DCE < 0 || r.DUE < 0 || r.SDC < 0 || r.DCE+r.DUE+r.SDC != r.N {
+		return fmt.Errorf("evalmc: %+v is not a consistent %s result", r, p)
+	}
+	return nil
+}
+
+// CheckCell verifies that r can be the result of evaluating cell
+// (·, p) under opts: Check, the class's exhaustive flag and the trial
+// count CellTrials fixes. Results this process did not evaluate —
+// resumed from a checkpoint or completed by a remote worker — must
+// pass it.
+func CheckCell(p errormodel.Pattern, r PatternResult, opts Options) error {
+	if err := r.Check(p); err != nil {
+		return err
+	}
+	if r.Exhaustive != (errormodel.EnumerableCount(p) >= 0) || r.N != CellTrials(p, opts) {
+		return fmt.Errorf("evalmc: %s result (N=%d, exhaustive=%v) does not match the %d-trial cell",
+			p, r.N, r.Exhaustive, CellTrials(p, opts))
+	}
+	return nil
 }
 
 // FracDCE returns the corrected fraction.
@@ -228,6 +255,9 @@ func EvaluateCtx(s core.Scheme, opts Options) (SchemeResult, error) {
 		}
 		if opts.Resume != nil {
 			if r, ok := opts.Resume(s.Name(), p); ok {
+				if err := CheckCell(p, r, opts); err != nil {
+					return res, fmt.Errorf("resumed cell %s / %s: %w", s.Name(), p, err)
+				}
 				res.PerPattern[p] = r
 				mResumedCells.Inc()
 				continue

@@ -9,6 +9,7 @@ import (
 	"context"
 
 	"hbm2ecc/internal/beam"
+	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/classify"
 	"hbm2ecc/internal/dram"
 	"hbm2ecc/internal/hbm2"
@@ -185,15 +186,13 @@ type CampaignConfig struct {
 	OnRun func(completed, total int, log *microbench.Log)
 	// Ctx, when non-nil, makes the campaign cancellable: once done, the
 	// in-flight run is discarded and CampaignRun returns the completed
-	// prefix (checkpoint it and resume later).
+	// prefix (resume it from Checkpoint later).
 	Ctx context.Context
-	// Checkpoint, when non-nil, resumes a previously interrupted campaign:
-	// completed runs are replayed (state reconstruction, no re-evaluation)
-	// and execution continues from Checkpoint.Completed.
-	Checkpoint *CampaignCheckpoint
-	// OnCheckpoint, when set, is called after every completed run with a
-	// snapshot that fully captures campaign progress.
-	OnCheckpoint func(*CampaignCheckpoint)
+	// Checkpoint, when non-nil (see OpenCheckpoint), receives every
+	// completed run and resumes a previously interrupted campaign: its
+	// completed runs are replayed (state reconstruction, no
+	// re-evaluation) and execution continues after them.
+	Checkpoint *campaign.Checkpoint[runKey, *microbench.Log]
 }
 
 // CampaignLogs runs the beam campaign and returns the raw microbenchmark

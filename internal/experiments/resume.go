@@ -3,34 +3,36 @@ package experiments
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"hbm2ecc/internal/beam"
+	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/dram"
 	"hbm2ecc/internal/hbm2"
 	"hbm2ecc/internal/microbench"
 	"hbm2ecc/internal/obs"
-	"hbm2ecc/internal/resilience"
 )
 
 var mResumedRuns = obs.NewCounter("campaign_resumed_runs_total",
 	"Completed runs replayed (not re-evaluated) when resuming a campaign "+
 		"from a checkpoint.").With()
 
-// CampaignCheckpoint is a resumable snapshot of campaign progress: the
-// config echo guards against resuming with mismatched parameters, and the
-// completed logs carry everything needed to both continue (state is
-// rebuilt by replaying the exposure schedule) and post-process.
-type CampaignCheckpoint struct {
-	Seed int64   `json:"seed"`
-	Runs int     `json:"runs"`
-	MTTE float64 `json:"mtte"`
-	// OnDie echoes the name of the campaign's on-die ECC stage (empty
-	// when none): observations depend on the stage, so resuming under a
-	// different one would silently mix distorted and raw records.
-	OnDie     string            `json:"ondie,omitempty"`
-	Completed int               `json:"completed"`
-	Clock     float64           `json:"clock"`
-	Logs      []*microbench.Log `json:"logs"`
+// beamScheme is the scheme every beam-campaign cell is stored under:
+// the campaign reads the device with DRAM ECC disabled.
+const beamScheme = "none"
+
+// runKey keys a beam-campaign checkpoint cell by its run index.
+type runKey int
+
+func (r runKey) String() string { return strconv.Itoa(int(r)) }
+
+func (cfg *CampaignConfig) defaults() {
+	if cfg.Runs == 0 {
+		cfg.Runs = 300
+	}
+	if cfg.MTTE == 0 {
+		cfg.MTTE = 5
+	}
 }
 
 // stageName names an on-die stage for the checkpoint echo; stages expose
@@ -45,67 +47,54 @@ func stageName(s dram.OnDieStage) string {
 	return "unnamed"
 }
 
-// Save atomically writes the checkpoint to path (write-temp-then-rename).
-func (c *CampaignCheckpoint) Save(path string) error {
-	return resilience.SaveJSON(path, c)
-}
-
-// LoadCampaignCheckpoint reads a checkpoint written by Save.
-func LoadCampaignCheckpoint(path string) (*CampaignCheckpoint, error) {
-	var c CampaignCheckpoint
-	if err := resilience.LoadJSON(path, &c); err != nil {
-		return nil, err
-	}
-	return &c, nil
-}
-
-// compatible reports whether the checkpoint matches the (defaulted)
-// campaign config it is about to resume.
-func (c *CampaignCheckpoint) compatible(cfg CampaignConfig) error {
-	if c.Seed != cfg.Seed || c.Runs != cfg.Runs || c.MTTE != cfg.MTTE {
-		return fmt.Errorf("experiments: checkpoint (seed=%d runs=%d mtte=%g) does not match config (seed=%d runs=%d mtte=%g)",
-			c.Seed, c.Runs, c.MTTE, cfg.Seed, cfg.Runs, cfg.MTTE)
-	}
-	if c.OnDie != stageName(cfg.OnDie) {
-		return fmt.Errorf("experiments: checkpoint on-die stage %q does not match config %q",
-			c.OnDie, stageName(cfg.OnDie))
-	}
-	if c.Completed != len(c.Logs) {
-		return fmt.Errorf("experiments: checkpoint completed=%d but carries %d logs", c.Completed, len(c.Logs))
-	}
-	if c.Completed > c.Runs {
-		return fmt.Errorf("experiments: checkpoint completed=%d exceeds runs=%d", c.Completed, c.Runs)
-	}
-	return nil
+// OpenCheckpoint opens the beam campaign's checkpoint (see campaign.Open);
+// set it as CampaignConfig.Checkpoint. Its cells are ("none", run index)
+// → the run's log. The config echo is everything that shapes the run
+// sequence: the seed, the run count, the MTTE and the on-die stage's
+// name (observations depend on the stage, so resuming under another
+// one would silently mix distorted and raw records).
+func OpenCheckpoint(cfg CampaignConfig, checkpointPath, resumePath string) (*campaign.Checkpoint[runKey, *microbench.Log], error) {
+	cfg.defaults()
+	echo := struct {
+		Seed  int64   `json:"seed"`
+		Runs  int     `json:"runs"`
+		MTTE  float64 `json:"mtte"`
+		OnDie string  `json:"ondie"`
+	}{cfg.Seed, cfg.Runs, cfg.MTTE, stageName(cfg.OnDie)}
+	return campaign.Open[runKey, *microbench.Log](echo, checkpointPath, resumePath)
 }
 
 // CampaignRun executes the beam campaign with optional cancellation and
 // checkpoint/resume. It returns the logs of all completed runs; when the
 // context is cancelled mid-campaign the in-flight run is discarded and the
-// completed prefix is returned with a nil error (checkpoint it via
-// OnCheckpoint or CampaignCheckpoint.Save and resume later).
+// completed prefix is returned with a nil error. Every returned run is
+// in cfg.Checkpoint by then (each run's Store overlaps the next run), so
+// the campaign can be resumed from it.
 //
-// Resume is replay-based: completed runs re-execute their write/exposure
-// schedule (identical RNG consumption on the campaign beam, no read
-// evaluation), so a resumed campaign's device, beam, and clock state —
-// and therefore every subsequent run — are bit-identical to an
-// uninterrupted campaign with the same config.
+// Resume is replay-based: the checkpoint must hold a gap-free prefix of
+// runs, which re-execute their write/exposure schedule (identical RNG
+// consumption on the campaign beam, no read evaluation), so a resumed
+// campaign's device, beam, and clock state — and therefore every
+// subsequent run — are bit-identical to an uninterrupted campaign with
+// the same config. Each replayed run must end at its stored log's
+// EndTime.
 func CampaignRun(cfg CampaignConfig) ([]*microbench.Log, error) {
-	if cfg.Runs == 0 {
-		cfg.Runs = 300
-	}
-	if cfg.MTTE == 0 {
-		cfg.MTTE = 5
-	}
-	start := 0
+	cfg.defaults()
 	var logs []*microbench.Log
-	if cfg.Checkpoint != nil {
-		if err := cfg.Checkpoint.compatible(cfg); err != nil {
-			return nil, err
+	if ck := cfg.Checkpoint; ck != nil {
+		for run := 0; ; run++ {
+			l, ok := ck.Lookup(beamScheme, runKey(run))
+			if !ok || l == nil {
+				break
+			}
+			logs = append(logs, l)
 		}
-		start = cfg.Checkpoint.Completed
-		logs = append(logs, cfg.Checkpoint.Logs...)
+		if n := ck.Cells(); n != len(logs) || n > cfg.Runs {
+			return nil, fmt.Errorf("experiments: checkpoint holds %d cells, not a gap-free prefix of runs 0..%d",
+				n, cfg.Runs-1)
+		}
 	}
+	start := len(logs)
 
 	span := obs.DefaultTracer.Start("campaign")
 	span.SetAttr("runs", strconv.Itoa(cfg.Runs))
@@ -131,16 +120,20 @@ func CampaignRun(cfg CampaignConfig) ([]*microbench.Log, error) {
 		replay.SetAttr("runs", strconv.Itoa(start))
 		for run := 0; run < start; run++ {
 			log := microbench.Run(campaignRunConfig(cfg, dev, b, run, t))
+			if log.EndTime != logs[run].EndTime {
+				replay.Finish()
+				return nil, fmt.Errorf("experiments: replayed run %d ends at %g, its checkpointed log at %g",
+					run, log.EndTime, logs[run].EndTime)
+			}
 			t = log.EndTime
 		}
 		replay.Finish()
 		mResumedRuns.Add(uint64(start))
-		if cfg.Checkpoint.Clock != 0 && t != cfg.Checkpoint.Clock {
-			return nil, fmt.Errorf("experiments: replayed clock %g does not match checkpoint clock %g",
-				t, cfg.Checkpoint.Clock)
-		}
 	}
 
+	// Each run's Store (encode, append, fsync) overlaps the next run.
+	var saving sync.WaitGroup
+	defer saving.Wait()
 	for run := start; run < cfg.Runs; run++ {
 		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 			break
@@ -159,18 +152,23 @@ func CampaignRun(cfg CampaignConfig) ([]*microbench.Log, error) {
 		}
 		t = log.EndTime
 		logs = append(logs, log)
+		if cfg.Checkpoint != nil {
+			saving.Wait()
+			if err := cfg.Checkpoint.Err(); err != nil {
+				return logs, err
+			}
+			saving.Add(1)
+			go func() {
+				defer saving.Done()
+				cfg.Checkpoint.Store(beamScheme, runKey(run), log)
+			}()
+		}
 		if cfg.OnRun != nil {
 			cfg.OnRun(run+1, cfg.Runs, log)
 		}
-		if cfg.OnCheckpoint != nil {
-			cfg.OnCheckpoint(&CampaignCheckpoint{
-				Seed: cfg.Seed, Runs: cfg.Runs, MTTE: cfg.MTTE,
-				OnDie:     stageName(cfg.OnDie),
-				Completed: len(logs), Clock: t, Logs: logs,
-			})
-		}
 	}
-	return logs, nil
+	saving.Wait()
+	return logs, cfg.Checkpoint.Err()
 }
 
 // campaignRunConfig builds the per-run microbenchmark config; Replay is

@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hbm2ecc/internal/classify"
+	"hbm2ecc/internal/microbench"
 )
 
 // TestCampaignResumeEqualsUninterrupted is the resilience acceptance test:
@@ -23,17 +26,19 @@ func TestCampaignResumeEqualsUninterrupted(t *testing.T) {
 		t.Fatalf("full campaign: %d logs, want 6", len(full))
 	}
 
-	// Interrupted campaign: checkpoint after every run, cancel after 3.
+	// Interrupted campaign: every run goes to the checkpoint file; cancel
+	// after 3.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	path := filepath.Join(t.TempDir(), "campaign.ckpt.json")
+	path := filepath.Join(t.TempDir(), "campaign.ckpt")
+	ckpt, err := OpenCheckpoint(cfg, path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	partial, err := CampaignRun(CampaignConfig{
-		Seed: 77, Runs: 6, Ctx: ctx,
-		OnCheckpoint: func(c *CampaignCheckpoint) {
-			if err := c.Save(path); err != nil {
-				t.Fatalf("checkpoint save: %v", err)
-			}
-			if c.Completed == 3 {
+		Seed: 77, Runs: 6, Ctx: ctx, Checkpoint: ckpt,
+		OnRun: func(completed, _ int, _ *microbench.Log) {
+			if completed == 3 {
 				cancel()
 			}
 		},
@@ -44,23 +49,12 @@ func TestCampaignResumeEqualsUninterrupted(t *testing.T) {
 	if len(partial) != 3 {
 		t.Fatalf("interrupted campaign: %d logs, want 3", len(partial))
 	}
-
-	// Resume from the on-disk checkpoint (exercises the JSON round-trip).
-	ckpt, err := LoadCampaignCheckpoint(path)
-	if err != nil {
+	if err := ckpt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if ckpt.Completed != 3 {
-		t.Fatalf("checkpoint completed = %d, want 3", ckpt.Completed)
-	}
-	resumed, err := CampaignRun(CampaignConfig{Seed: 77, Runs: 6, Checkpoint: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resumed) != 6 {
-		t.Fatalf("resumed campaign: %d logs, want 6", len(resumed))
-	}
 
+	// Resume from the file (exercises the JSON round-trip).
+	resumed := resumeFrom(t, cfg, path, 3)
 	if !reflect.DeepEqual(full, resumed) {
 		t.Fatal("resumed campaign logs differ from uninterrupted campaign")
 	}
@@ -76,6 +70,71 @@ func TestCampaignResumeEqualsUninterrupted(t *testing.T) {
 	}
 }
 
+// resumeFrom resumes cfg from path, which must hold want completed runs.
+func resumeFrom(t *testing.T, cfg CampaignConfig, path string, want int) []*microbench.Log {
+	t.Helper()
+	ckpt, err := OpenCheckpoint(cfg, "", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ckpt.Close()
+	if ckpt.Cells() != want {
+		t.Fatalf("checkpoint holds %d runs, want %d", ckpt.Cells(), want)
+	}
+	cfg.Checkpoint = ckpt
+	logs, err := CampaignRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logs) != cfg.Runs {
+		t.Fatalf("resumed campaign: %d logs, want %d", len(logs), cfg.Runs)
+	}
+	return logs
+}
+
+// TestCampaignTornTailIsRecomputed drops the last run from a finished
+// campaign's file — torn mid-frame, or with a payload byte flipped — and
+// resumes: the lost run is recomputed and the logs match the originals.
+func TestCampaignTornTailIsRecomputed(t *testing.T) {
+	cfg := CampaignConfig{Seed: 5, Runs: 4}
+	path := filepath.Join(t.TempDir(), "campaign.ckpt")
+	ckpt, err := OpenCheckpoint(cfg, path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCkpt := cfg
+	withCkpt.Checkpoint = ckpt
+	full, err := CampaignRun(withCkpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt.Close()
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, damage := range map[string]func([]byte) []byte{
+		"torn":    func(b []byte) []byte { return b[:len(b)-7] },
+		"bad-crc": func(b []byte) []byte { b[len(b)-2] ^= 0x20; return b },
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(path, damage(append([]byte(nil), intact...)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got := resumeFrom(t, cfg, path, 3); !reflect.DeepEqual(got, full) {
+				t.Fatal("campaign resumed past a damaged tail differs from the original")
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(after) != string(intact) {
+				t.Fatal("re-stored run did not restore the file byte for byte")
+			}
+		})
+	}
+}
+
 func TestCampaignCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -88,13 +147,58 @@ func TestCampaignCancelledBeforeStart(t *testing.T) {
 	}
 }
 
+// TestCampaignCheckpointMismatchRejected refuses checkpoints that cannot
+// resume the campaign: another config echo, a gap in the run prefix, a
+// run beyond the campaign, and a log whose replay ends elsewhere.
 func TestCampaignCheckpointMismatchRejected(t *testing.T) {
-	ckpt := &CampaignCheckpoint{Seed: 1, Runs: 6, MTTE: 5, Completed: 0}
-	if _, err := CampaignRun(CampaignConfig{Seed: 2, Runs: 6, Checkpoint: ckpt}); err == nil {
-		t.Fatal("mismatched checkpoint accepted")
+	cfg := CampaignConfig{Seed: 1, Runs: 3}
+	logs, err := CampaignRun(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := &CampaignCheckpoint{Seed: 1, Runs: 6, MTTE: 5, Completed: 2}
-	if _, err := CampaignRun(CampaignConfig{Seed: 1, Runs: 6, Checkpoint: bad}); err == nil {
-		t.Fatal("checkpoint with missing logs accepted")
+	dir := t.TempDir()
+	// save writes the given runs of logs (mutated by edit) to a file.
+	save := func(name string, runs []int, edit func(*microbench.Log)) string {
+		path := filepath.Join(dir, name)
+		ckpt, err := OpenCheckpoint(CampaignConfig{Seed: 1, Runs: 3}, path, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ckpt.Close()
+		for _, run := range runs {
+			l := *logs[run%len(logs)]
+			if edit != nil {
+				edit(&l)
+			}
+			ckpt.Store(beamScheme, runKey(run), &l)
+		}
+		return path
+	}
+	if _, err := OpenCheckpoint(CampaignConfig{Seed: 2, Runs: 3}, "", save("seed", []int{0}, nil)); err == nil ||
+		!strings.Contains(err.Error(), "was taken under config") {
+		t.Fatalf("checkpoint of another seed: err = %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		path string
+		want string
+	}{
+		{"gap", save("gap", []int{0, 2}, nil), "gap-free prefix"},
+		{"missing-first", save("missing-first", []int{1}, nil), "gap-free prefix"},
+		{"beyond-runs", save("beyond", []int{0, 1, 2, 3}, nil), "gap-free prefix"},
+		{"end-time", save("end-time", []int{0, 1}, func(l *microbench.Log) { l.EndTime++ }), "ends at"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ckpt, err := OpenCheckpoint(cfg, "", tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ckpt.Close()
+			run := cfg
+			run.Checkpoint = ckpt
+			if _, err := CampaignRun(run); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package microbench
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -71,13 +72,16 @@ func logFromJSON(in jsonLog) (*Log, error) {
 }
 
 // MarshalJSON encodes the log in the compact hex-payload on-disk form,
-// so campaign checkpoints embedding []*Log stay small and diff-able.
+// so campaign checkpoint cells and -logs files stay small and diff-able.
 func (l *Log) MarshalJSON() ([]byte, error) { return json.Marshal(l.toJSON()) }
 
-// UnmarshalJSON decodes the on-disk form.
+// UnmarshalJSON decodes the on-disk form strictly: unknown fields and
+// malformed payloads are refused.
 func (l *Log) UnmarshalJSON(b []byte) error {
 	var in jsonLog
-	if err := json.Unmarshal(b, &in); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&in); err != nil {
 		return err
 	}
 	parsed, err := logFromJSON(in)
@@ -95,11 +99,11 @@ func (l *Log) WriteJSON(w io.Writer) error {
 
 // ReadJSON parses one JSON log document.
 func ReadJSON(r io.Reader) (*Log, error) {
-	var in jsonLog
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	var l Log
+	if err := json.NewDecoder(r).Decode(&l); err != nil {
 		return nil, err
 	}
-	return logFromJSON(in)
+	return &l, nil
 }
 
 func decodeHex32(s string, out *[hbm2.EntryBytes]byte) error {
@@ -140,31 +144,12 @@ func ReadLogs(path string) ([]*Log, error) {
 	dec := json.NewDecoder(bufio.NewReader(f))
 	var logs []*Log
 	for {
-		var in jsonLog
-		if err := dec.Decode(&in); err == io.EOF {
-			break
+		var l Log
+		if err := dec.Decode(&l); err == io.EOF {
+			return logs, nil
 		} else if err != nil {
 			return nil, err
 		}
-		// Re-marshal through ReadJSON's validation path.
-		log := &Log{
-			Pattern:   PatternKind(in.Pattern),
-			StartTime: in.StartTime,
-			EndTime:   in.EndTime,
-			Discarded: in.Discarded,
-		}
-		for i, jr := range in.Records {
-			var rec Record
-			rec.Time, rec.WritePass, rec.ReadPass, rec.Entry = jr.Time, jr.WritePass, jr.ReadPass, jr.Entry
-			if err := decodeHex32(jr.Expected, &rec.Expected); err != nil {
-				return nil, fmt.Errorf("microbench: record %d expected: %w", i, err)
-			}
-			if err := decodeHex32(jr.Got, &rec.Got); err != nil {
-				return nil, fmt.Errorf("microbench: record %d got: %w", i, err)
-			}
-			log.Records = append(log.Records, rec)
-		}
-		logs = append(logs, log)
+		logs = append(logs, &l)
 	}
-	return logs, nil
 }

@@ -1,6 +1,7 @@
 package ondie
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -57,24 +58,35 @@ func TestDistortionCheckpointGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ckpt *experiments.CampaignCheckpoint
-	experiments.CampaignRun(experiments.CampaignConfig{
-		Seed: 9, Runs: 3, OnDie: st,
-		OnCheckpoint: func(c *experiments.CampaignCheckpoint) { ckpt = c },
-	})
-	if ckpt == nil {
-		t.Fatal("no checkpoint recorded")
+	path := filepath.Join(t.TempDir(), "campaign.ckpt")
+	cfg := experiments.CampaignConfig{Seed: 9, Runs: 3, OnDie: st}
+	ckpt, err := experiments.OpenCheckpoint(cfg, path, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ckpt.OnDie != "hamming72" {
-		t.Fatalf("checkpoint echoes stage %q", ckpt.OnDie)
+	cfg.Checkpoint = ckpt
+	if _, err := experiments.CampaignRun(cfg); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := experiments.CampaignRun(experiments.CampaignConfig{
-		Seed: 9, Runs: 3, Checkpoint: ckpt,
-	}); err == nil {
+	ckpt.Close()
+	if ckpt.Cells() != 3 {
+		t.Fatalf("checkpoint recorded %d runs, want 3", ckpt.Cells())
+	}
+	if _, err := experiments.OpenCheckpoint(experiments.CampaignConfig{Seed: 9, Runs: 3}, "", path); err == nil {
 		t.Error("resume without the stage did not error")
 	}
+	if other, err := StageByName("hamming64"); err != nil {
+		t.Fatal(err)
+	} else if _, err := experiments.OpenCheckpoint(experiments.CampaignConfig{Seed: 9, Runs: 3, OnDie: other}, "", path); err == nil {
+		t.Error("resume under another stage did not error")
+	}
+	resumed, err := experiments.OpenCheckpoint(experiments.CampaignConfig{Seed: 9, Runs: 3, OnDie: st}, "", path)
+	if err != nil {
+		t.Fatalf("resume with the matching stage errored: %v", err)
+	}
+	defer resumed.Close()
 	if _, err := experiments.CampaignRun(experiments.CampaignConfig{
-		Seed: 9, Runs: 3, OnDie: st, Checkpoint: ckpt,
+		Seed: 9, Runs: 3, OnDie: st, Checkpoint: resumed,
 	}); err != nil {
 		t.Errorf("resume with the matching stage errored: %v", err)
 	}

@@ -164,34 +164,9 @@ func (w *WAL) replay(fn func(rec []byte) error) error {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var (
-		off    int64
-		header [walHeader]byte
-	)
-	for {
-		if _, err := io.ReadFull(w.f, header[:]); err != nil {
-			// io.EOF: clean end. ErrUnexpectedEOF: torn header.
-			break
-		}
-		n := binary.LittleEndian.Uint32(header[0:])
-		crc := binary.LittleEndian.Uint32(header[4:])
-		if int(n) > w.opts.MaxRecord {
-			break // garbage length; cannot trust the frame
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(w.f, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // corrupt record; everything after is untrusted
-		}
-		if fn != nil {
-			if err := fn(payload); err != nil {
-				return fmt.Errorf("wal: replaying record %d: %w", w.records, err)
-			}
-		}
-		w.records++
-		off += walHeader + int64(n)
+	n, off, err := ScanWAL(w.f, w.opts.MaxRecord, fn)
+	if err != nil {
+		return fmt.Errorf("wal: replaying record %d: %w", n, err)
 	}
 	if err := w.f.Truncate(off); err != nil {
 		return fmt.Errorf("wal: truncating torn tail: %w", err)
@@ -199,8 +174,44 @@ func (w *WAL) replay(fn func(rec []byte) error) error {
 	if _, err := w.f.Seek(off, io.SeekStart); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	w.size = off
+	w.records, w.size = n, off
 	return nil
+}
+
+// ScanWAL reads WAL frames from r without writing anything, calling fn
+// per intact record in append order. It stops at the first frame that
+// is short, claims more than maxRecord bytes, or fails its CRC, and
+// returns the number of intact records and their byte length — the
+// prefix OpenWAL would keep. An error from fn stops the scan and is
+// returned with the count of records before it.
+func ScanWAL(r io.Reader, maxRecord int, fn func(rec []byte) error) (records int, size int64, err error) {
+	var header [walHeader]byte
+	for {
+		if _, err := io.ReadFull(r, header[:]); err != nil {
+			// io.EOF: clean end. ErrUnexpectedEOF: torn header.
+			return records, size, nil
+		}
+		n := binary.LittleEndian.Uint32(header[0:])
+		crc := binary.LittleEndian.Uint32(header[4:])
+		if int64(n) > int64(maxRecord) {
+			return records, size, nil // garbage length; cannot trust the frame
+		}
+		// Not preallocated: a garbage length must not cost its size.
+		payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+		if err != nil || len(payload) != int(n) {
+			return records, size, nil // torn payload
+		}
+		if crc32.ChecksumIEEE(payload) != crc {
+			return records, size, nil // corrupt record; everything after is untrusted
+		}
+		if fn != nil {
+			if err := fn(payload); err != nil {
+				return records, size, err
+			}
+		}
+		records++
+		size += walHeader + int64(n)
+	}
 }
 
 // Append frames rec and writes it with one write(2) call, so the

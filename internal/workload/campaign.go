@@ -63,7 +63,7 @@ type Options struct {
 	// checkpoint never holds a half-evaluated cell.
 	Ctx context.Context
 	// Resume is consulted before evaluating each cell; ok=true reuses
-	// the cached result (see OpenCheckpoint).
+	// the cached result (see OpenCheckpoint) once CheckCell accepts it.
 	Resume func(scheme string, k Kernel) (CellResult, bool)
 	// Progress is called after each evaluated cell (the checkpoint
 	// hook, see OpenCheckpoint); not called for cells satisfied by
@@ -137,6 +137,41 @@ type CellResult struct {
 	BySource [faults.NumSources][NumOutcomes]int `json:"by_source"`
 	// Ledger is the per-run outcome sequence in run order.
 	Ledger []Outcome `json:"ledger"`
+}
+
+// CheckCell verifies that r can be the result of cell (scheme, k) under
+// opts: it names that cell, holds opts.Runs runs with one ledger entry
+// each, and its outcome and per-source tallies are exactly the ledger's.
+// Cells resumed from a checkpoint must pass it.
+func CheckCell(scheme string, k Kernel, r CellResult, opts Options) error {
+	opts.defaults()
+	bad := func(what string) error {
+		return fmt.Errorf("workload: cell %s/%s: %s", scheme, k, what)
+	}
+	if r.Scheme != scheme || r.Kernel != k || r.Runs != opts.Runs || len(r.Ledger) != opts.Runs {
+		return bad(fmt.Sprintf("result for %s/%s with %d runs and %d ledger entries, want %d",
+			r.Scheme, r.Kernel, r.Runs, len(r.Ledger), opts.Runs))
+	}
+	var tally [NumOutcomes]int
+	for _, o := range r.Ledger {
+		if !o.Valid() {
+			return bad("invalid outcome in the ledger")
+		}
+		tally[o]++
+	}
+	for o := range tally {
+		bySrc := 0
+		for s := range r.BySource {
+			if r.BySource[s][o] < 0 {
+				return bad("negative per-source tally")
+			}
+			bySrc += r.BySource[s][o]
+		}
+		if r.Outcomes[o] != tally[o] || bySrc != tally[o] {
+			return bad(fmt.Sprintf("%s tallies differ from the ledger", Outcome(o)))
+		}
+	}
+	return nil
 }
 
 // Frac returns the fraction of runs with outcome o.
@@ -348,7 +383,9 @@ func Campaign(opts Options) ([]CellResult, error) {
 		key := keys[i]
 		if opts.Resume != nil {
 			if r, ok := opts.Resume(key.scheme, key.kernel); ok {
-				results[i], done[i] = r, true
+				if errs[i] = CheckCell(key.scheme, key.kernel, r, opts); errs[i] == nil {
+					results[i], done[i] = r, true
+				}
 				return
 			}
 		}

@@ -164,3 +164,52 @@ func TestWriteReport(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeRefusesTamperedCells stores a real cell with one field
+// edited, and resumes from the file: the campaign must refuse it rather
+// than report it.
+func TestResumeRefusesTamperedCells(t *testing.T) {
+	opts := Options{Seed: 3, Runs: 12, Schemes: []string{NoECC}, Kernels: []Kernel{Reduction}}
+	good, err := RunCell(NoECC, Reduction, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(*CellResult){
+		"other-scheme":  func(r *CellResult) { r.Scheme = "DuetECC" },
+		"other-kernel":  func(r *CellResult) { r.Kernel = GEMM },
+		"runs":          func(r *CellResult) { r.Runs = 11 },
+		"short-ledger":  func(r *CellResult) { r.Ledger = r.Ledger[1:] },
+		"outcome-tally": func(r *CellResult) { r.Outcomes[Masked]++; r.Outcomes[DUE]-- },
+		"source-sum":    func(r *CellResult) { r.BySource[faults.SourceDRAM][Masked]++ },
+		"source-negative": func(r *CellResult) {
+			r.BySource[faults.SourceDRAM][Masked]++
+			r.BySource[faults.SourceDRAM+1][Masked]--
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := good
+			r.Ledger = append([]Outcome(nil), good.Ledger...)
+			edit(&r)
+			path := filepath.Join(t.TempDir(), "workload.ckpt")
+			ck, err := OpenCheckpoint(opts, path, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck.Store(NoECC, Reduction, r)
+			ck.Close()
+			loaded, err := OpenCheckpoint(opts, "", path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			resumed := opts
+			resumed.Resume = loaded.Lookup
+			if _, err := Campaign(resumed); err == nil {
+				t.Fatalf("tampered cell accepted: %+v", r)
+			}
+		})
+	}
+	if err := CheckCell(NoECC, Reduction, good, opts); err != nil {
+		t.Fatalf("untampered cell refused: %v", err)
+	}
+}

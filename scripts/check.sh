@@ -183,7 +183,7 @@ for col in masked "tolerable SDC" "critical SDC" DUE crash "End-to-end FIT"; do
 	grep -q "$col" "$wl_out" || { echo "workload report missing '$col'"; cat "$wl_out"; exit 1; }
 done
 
-echo "== checkpoint smoke: resumed runs reprint the report; campaignd resumes ecceval -workers =="
+echo "== checkpoint smoke: resumed runs reprint the report; campaignd resumes ecceval -workers; old formats refused =="
 ck_dir="$serve_dir/checkpoint"
 mkdir -p "$ck_dir"
 go build -o "$serve_dir/ecceval" ./cmd/ecceval
@@ -195,6 +195,28 @@ cmp "$ck_dir/f.out" "$ck_dir/f.resumed"
 if "$serve_dir/ecceval" -samples 3000 -resume "$ck_dir/f" >/dev/null 2>&1; then
 	echo "ecceval resumed a checkpoint taken under different -samples"; exit 1
 fi
+# beamsim on the same format: a resumed campaign reprints the report
+# and rewrites identical -logs; another -seed, or a v1 JSON checkpoint,
+# is refused and the file left byte-identical.
+go build -o "$serve_dir/beamsim" ./cmd/beamsim
+"$serve_dir/beamsim" -runs 12 -checkpoint "$ck_dir/b" -logs "$ck_dir/b.logs" >"$ck_dir/b.out"
+mv "$ck_dir/b.logs" "$ck_dir/b.logs.ref"
+cp "$ck_dir/b" "$ck_dir/b.orig"
+"$serve_dir/beamsim" -runs 12 -resume "$ck_dir/b" -logs "$ck_dir/b.logs" >"$ck_dir/b.resumed" 2>/dev/null
+cmp "$ck_dir/b.out" "$ck_dir/b.resumed"
+cmp "$ck_dir/b.logs.ref" "$ck_dir/b.logs"
+if "$serve_dir/beamsim" -runs 12 -seed 7 -resume "$ck_dir/b" >/dev/null 2>&1; then
+	echo "beamsim resumed a checkpoint taken under a different -seed"; exit 1
+fi
+cmp "$ck_dir/b.orig" "$ck_dir/b"
+printf '%s\n' '{"schema":"hbm2ecc/campaign_checkpoint/v1","config":{"mtte":5,"ondie":"","runs":12,"seed":2021},"results":{}}' >"$ck_dir/v1"
+cp "$ck_dir/v1" "$ck_dir/v1.orig"
+for cmd in "beamsim -runs 12" "ecceval -samples 2000"; do
+	if "$serve_dir"/$cmd -resume "$ck_dir/v1" >/dev/null 2>&1; then
+		echo "$cmd resumed a v1 checkpoint"; exit 1
+	fi
+	cmp "$ck_dir/v1.orig" "$ck_dir/v1"
+done
 "$serve_dir/ecceval" -workload -workload-runs 40 -checkpoint "$ck_dir/g" >"$ck_dir/g.out"
 "$serve_dir/ecceval" -workload -workload-runs 40 -resume "$ck_dir/g" >"$ck_dir/g.resumed" 2>/dev/null
 cmp "$ck_dir/g.out" "$ck_dir/g.resumed"
