@@ -6,28 +6,33 @@
 //
 // Coordinator (with two embedded workers and a resumable checkpoint):
 //
-//	campaignd -listen 127.0.0.1:8335 -workers 2 -samples 400000 -checkpoint campaign.ckpt.json
+//	campaignd -listen 127.0.0.1:8335 -workers 2 -samples 400000 -checkpoint campaign.ckpt
 //
-// Extra workers joining from other terminals or machines:
+// A one-machine run on a free loopback port:
+//
+//	campaignd -listen 127.0.0.1:0 -workers 2
+//
+// Extra workers joining from other terminals or machines (a
+// coordinator started with -workers 0 waits for them):
 //
 //	campaignd -join http://127.0.0.1:8335 -workers 2
 //
-// The coordinator exposes /v1/lease, /v1/complete, /v1/status, /metrics
-// and /healthz. SIGINT/SIGTERM drains cleanly; a coordinator restarted
-// with -resume skips every checkpointed cell. Cell-level determinism
-// makes the merged result bit-identical to a single sequential process
-// with the same seed and sample counts.
+// Both modes run on internal/cluster: the coordinator is a
+// cluster.Local, the joining workers a cluster.RunWorkers pool. The
+// coordinator exposes /v1/lease, /v1/complete, /v1/status, /metrics,
+// /healthz and /spans. SIGINT/SIGTERM drains cleanly; a coordinator
+// restarted with -resume skips every checkpointed cell. Every cell runs
+// as one sampler stream, so the merged result is bit-identical to a
+// single-stream sequential evaluation (ecceval at GOMAXPROCS=1) with
+// the same seed and sample counts.
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net"
 	"os"
-	"sync"
 	"time"
 
 	"hbm2ecc/internal/cluster"
@@ -43,7 +48,7 @@ func main() {
 	seed := flag.Int64("seed", 2021, "campaign seed")
 	samples := flag.Int("samples", 400_000, "Monte-Carlo samples per sampled pattern class")
 	withDSC := flag.Bool("dsc", false, "include the rejected (36,32) DSC organization")
-	checkpoint := flag.String("checkpoint", "", "append completed cells to this checkpoint file (same format as ecceval -workers)")
+	checkpoint := flag.String("checkpoint", "", "append completed cells to this checkpoint file")
 	resume := flag.String("resume", "", "resume from this checkpoint file (spec must match the flags)")
 	leaseTTL := flag.Duration("lease-ttl", 2*time.Minute, "cell lease TTL before re-queue")
 	flag.Parse()
@@ -67,34 +72,16 @@ func runWorkers(ctx context.Context, baseURL string, n int) error {
 	if n < 1 {
 		n = 1
 	}
-	host, _ := os.Hostname()
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		w, err := cluster.NewWorker(cluster.WorkerOptions{
-			ID:      fmt.Sprintf("%s-%d-%d", host, os.Getpid(), i),
-			BaseURL: baseURL,
-		})
-		if err != nil {
-			return err
+	return cluster.RunWorkers(ctx, n, cluster.WorkerOptions{BaseURL: baseURL}, func(w *cluster.Worker, err error) {
+		switch {
+		case err == nil:
+			log.Printf("worker %s: campaign complete (%d cells, %d trials)", w.ID(), w.Completed(), w.Trials())
+		case errors.Is(err, context.Canceled):
+			log.Printf("worker %s: interrupted", w.ID())
+		default:
+			log.Printf("worker %s: %v", w.ID(), err)
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			err := w.Run(ctx)
-			switch {
-			case err == nil:
-				log.Printf("worker %s: campaign complete (%d cells, %d trials)", w.ID(), w.Completed(), w.Trials())
-			case errors.Is(err, context.Canceled):
-				log.Printf("worker %s: interrupted", w.ID())
-			default:
-				log.Printf("worker %s: %v", w.ID(), err)
-				errs[i] = err
-			}
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	})
 }
 
 func runCoordinator(ctx context.Context, listen string, workers int, seed int64, samples int, withDSC bool, checkpoint, resume string, leaseTTL time.Duration) error {
@@ -123,56 +110,22 @@ func runCoordinator(ctx context.Context, listen string, workers int, seed int64,
 		}
 		copts.Resume, copts.Progress = ckpt.Lookup, ckpt.Store
 	}
-	coord, err := cluster.NewCoordinator(copts)
+	l, err := cluster.StartLocal(ctx, listen, copts, workers, cluster.WorkerOptions{ID: "embedded"})
 	if err != nil {
 		return err
 	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// The shared daemon bootstrap binds the listener up front (the
-	// embedded workers need the port) and drains on cancellation.
-	srv, err := httpx.StartDaemon(runCtx, "campaignd", listen, coord.Handler(), cluster.MaxFrame)
-	if err != nil {
-		return err
-	}
-	port := srv.Addr().(*net.TCPAddr).Port
-	log.Printf("coordinating %d cells on %s (%d embedded workers)", spec.NumCells(), srv.Addr(), workers)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		coord.Run(runCtx)
-	}()
-	for i := 0; i < workers; i++ {
-		w, err := cluster.NewWorker(cluster.WorkerOptions{
-			ID:      fmt.Sprintf("embedded-%d", i),
-			BaseURL: fmt.Sprintf("http://127.0.0.1:%d", port),
-		})
-		if err != nil {
-			cancel()
-			wg.Wait()
-			return err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(runCtx); err != nil && runCtx.Err() == nil {
-				log.Printf("embedded worker %s: %v", w.ID(), err)
-			}
-		}()
-	}
+	coord := l.Coordinator
+	log.Printf("coordinating %d cells on %s (%d embedded workers)", spec.NumCells(), l.URL(), workers)
 
 	// Progress heartbeat for the operator's terminal.
-	wg.Add(1)
+	beatCtx, stopBeat := context.WithCancel(ctx)
+	defer stopBeat()
 	go func() {
-		defer wg.Done()
 		ticker := time.NewTicker(5 * time.Second)
 		defer ticker.Stop()
 		for {
 			select {
-			case <-runCtx.Done():
+			case <-beatCtx.Done():
 				return
 			case <-coord.Done():
 				return
@@ -184,28 +137,15 @@ func runCoordinator(ctx context.Context, listen string, workers int, seed int64,
 		}
 	}()
 
-	select {
-	case <-ctx.Done():
-		cancel()
-		wg.Wait()
-		_ = srv.Wait()
+	results, err := l.Wait(ctx)
+	if ctx.Err() != nil {
 		log.Print(ckpt.Interrupted())
 		return nil
-	case <-coord.Done():
 	}
-	cancel()
-	wg.Wait()
-	if err := srv.Wait(); err != nil {
-		return err
-	}
-	if err := coord.Err(); err != nil {
+	if err != nil {
 		return err
 	}
 	if err := ckpt.Err(); err != nil {
-		return err
-	}
-	results, err := coord.Results()
-	if err != nil {
 		return err
 	}
 	st := coord.Status()

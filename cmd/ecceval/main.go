@@ -8,11 +8,9 @@
 // completed cells — yielding results identical to an uninterrupted
 // evaluation.
 //
-// With -workers N the evaluation runs on the distributed campaign
-// engine (internal/cluster) in-process: a coordinator served over
-// loopback HTTP with N embedded workers speaking the real wire
-// protocol. Cell-level determinism makes the merged result bit-identical
-// to a sequential run with the same seed and sample counts.
+// Sampled classes are split into GOMAXPROCS sampler streams, so the
+// numbers depend on GOMAXPROCS; at GOMAXPROCS=1 they match the
+// distributed campaign engine (campaignd) byte for byte.
 package main
 
 import (
@@ -24,7 +22,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"hbm2ecc/internal/cluster"
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/evalmc"
 	"hbm2ecc/internal/obs"
@@ -34,8 +31,6 @@ import (
 func main() {
 	seed := flag.Int64("seed", 2021, "random seed")
 	samples := flag.Int("samples", 400_000, "Monte-Carlo samples per sampled pattern class (paper used 1e7/1e9)")
-	workers := flag.Int("workers", 0,
-		"run on the distributed campaign engine with this many in-process workers (0 = classic sequential evaluation)")
 	withDSC := flag.Bool("dsc", false, "also evaluate the rejected (36,32) DSC organization (slow decoder)")
 	checkpoint := flag.String("checkpoint", "",
 		"append each completed (scheme, pattern) cell to this checkpoint file")
@@ -75,21 +70,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if stage != nil && *workers > 0 {
-		log.Fatal("-ondie is not supported with -workers: the cluster wire spec carries no error transform")
-	}
 
 	names := core.Table2Names()
 	if *withDSC {
 		names = append(names, "DSC")
 	}
 
-	var results []evalmc.SchemeResult
-	if *workers > 0 {
-		results, err = runCluster(ctx, names, *workers, *seed, *samples, *checkpoint, *resume)
-	} else {
-		results, err = runSequential(ctx, names, *seed, *samples, *checkpoint, *resume, *metrics != "", stage)
-	}
+	results, err := runSequential(ctx, names, *seed, *samples, *checkpoint, *resume, *metrics != "", stage)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -169,52 +156,4 @@ func runSequential(ctx context.Context, names []string, seed int64, samples int,
 		return nil, err
 	}
 	return results, ckpt.Err()
-}
-
-// runCluster evaluates on the distributed campaign engine over loopback
-// HTTP. Shards is pinned to 1, so the result is bit-identical to a
-// sequential (non -workers) run regardless of worker count. The
-// checkpoint echoes the cluster spec, so campaignd can resume it.
-func runCluster(ctx context.Context, names []string, workers int, seed int64, samples int, checkpoint, resume string) ([]evalmc.SchemeResult, error) {
-	spec := cluster.Spec{
-		Schemes:      names,
-		Seed:         seed,
-		Samples3b:    samples,
-		SamplesBeat:  samples,
-		SamplesEntry: samples,
-		Shards:       1,
-	}
-	copts := cluster.CoordinatorOptions{Spec: spec}
-	ckpt, err := cluster.OpenCheckpoint(spec, checkpoint, resume)
-	if err != nil {
-		return nil, err
-	}
-	defer ckpt.Close()
-	if ckpt != nil {
-		resumed(resume, ckpt.Cells())
-		copts.Resume, copts.Progress = ckpt.Lookup, ckpt.Store
-	}
-	results, coord, err := cluster.RunLocal(ctx, copts, workers, cluster.WorkerOptions{ID: "ecceval"})
-	if err != nil {
-		if ctx.Err() != nil {
-			fmt.Println(ckpt.Interrupted())
-			return nil, nil
-		}
-		return nil, err
-	}
-	if err := ckpt.Err(); err != nil {
-		return nil, err
-	}
-	st := coord.Status()
-	fmt.Printf("Distributed campaign: %d cells over %d workers (%d re-queued, %d resumed from checkpoint).\n",
-		st.Total, workers, st.Requeues, st.Done-completedByWorkers(st))
-	return results, nil
-}
-
-func completedByWorkers(st cluster.StatusResponse) int {
-	n := 0
-	for _, w := range st.Workers {
-		n += w.Completed
-	}
-	return n
 }

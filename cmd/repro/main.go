@@ -97,8 +97,10 @@ func main() {
 
 	// ---- ECC evaluation (Table 2, Fig. 8) ----
 	fmt.Println("== ECC evaluation ==")
+	// One sampler stream per class keeps the report independent of
+	// GOMAXPROCS.
 	opts := evalmc.Options{Seed: *seed, Samples3b: *samples, SamplesBeat: *samples,
-		SamplesEntry: *samples, Parallel: true, Ctx: ctx}
+		SamplesEntry: *samples, Shards: 1, Ctx: ctx}
 	schemes := []core.Scheme{
 		core.NewSECDED(false, false), core.NewDuetECC(), core.NewTrioECC(),
 		core.NewSEC2bEC(false, false), core.NewSSC(true), core.NewSSCDSDPlus(),

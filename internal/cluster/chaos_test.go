@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,41 +19,30 @@ import (
 	"hbm2ecc/internal/httpx"
 )
 
-// harness serves a coordinator over loopback HTTP and runs workers
-// under individual contexts, so chaos tests can kill one worker (or the
-// whole coordinator) without taking the rest of the cluster down.
+// harness serves a coordinator with no embedded workers (campaignd's
+// coordinator-only mode) and runs workers under individual contexts,
+// so chaos tests can kill one worker (or the whole coordinator)
+// without taking the rest of the cluster down.
 type harness struct {
-	coord  *Coordinator
-	base   string
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	coord *Coordinator
+	base  string
+	stop  func()
 }
 
 func startHarness(t *testing.T, copts CoordinatorOptions) *harness {
 	t.Helper()
-	coord, err := NewCoordinator(copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	h := &harness{coord: coord, base: "http://" + ln.Addr().String(), cancel: cancel}
-	srv := httpx.NewServerLimit("", coord.Handler(), MaxFrame)
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		_ = httpx.Serve(ctx, srv, ln, time.Second)
-	}()
+	l, err := StartLocal(ctx, "127.0.0.1:0", copts, 0, WorkerOptions{})
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	h := &harness{coord: l.Coordinator, base: l.URL(), stop: sync.OnceFunc(func() {
+		cancel()
+		_, _ = l.Wait(ctx)
+	})}
 	t.Cleanup(h.stop)
 	return h
-}
-
-func (h *harness) stop() {
-	h.cancel()
-	h.wg.Wait()
 }
 
 // runWorker runs one worker against the harness coordinator until it

@@ -166,9 +166,9 @@ type Coordinator struct {
 }
 
 // OpenCheckpoint opens the coordinator's cell checkpoint (see
-// campaign.Open). The config echo is the whole spec, so `ecceval
-// -workers` and campaignd read and write one file. A resumed file must
-// hold only cells of spec's grid.
+// campaign.Open). The config echo is the whole spec, so a file resumes
+// under any worker count with the same spec. A resumed file must hold
+// only cells of spec's grid.
 func OpenCheckpoint(spec Spec, checkpointPath, resumePath string) (*campaign.Checkpoint[errormodel.Pattern, evalmc.PatternResult], error) {
 	ckpt, err := campaign.Open[errormodel.Pattern, evalmc.PatternResult](spec, checkpointPath, resumePath)
 	if ckpt == nil || err != nil {

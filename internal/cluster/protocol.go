@@ -21,6 +21,7 @@
 //	GET  /v1/status                   -> StatusResponse
 //	GET  /metrics                     -> Prometheus text (obs registry)
 //	GET  /healthz                     -> liveness + campaign progress
+//	GET  /spans                       -> phase span table (StartLocal's daemon)
 package cluster
 
 import (

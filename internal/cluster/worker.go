@@ -14,12 +14,8 @@ import (
 	"hbm2ecc/internal/resilience"
 )
 
-var (
-	mWorkerCells = obs.NewCounter("cluster_worker_cells_total",
-		"Cells evaluated by this process's workers, by outcome.", "outcome")
-	mWorkerNetRetries = obs.NewCounter("cluster_worker_net_retries_total",
-		"Worker HTTP calls retried after transport errors.").With()
-)
+var mWorkerCells = obs.NewCounter("cluster_worker_cells_total",
+	"Cells evaluated by this process's workers, by outcome.", "outcome")
 
 // WorkerOptions configures a campaign worker.
 type WorkerOptions struct {
@@ -29,7 +25,8 @@ type WorkerOptions struct {
 	// BaseURL is the coordinator's address, e.g. "http://host:8335".
 	BaseURL string
 	// Client overrides the hardened default HTTP client (30s request
-	// timeout, bounded responses).
+	// timeout, bounded responses). A client without a Retry policy gets
+	// the worker's (see NetBudget).
 	Client *httpx.Client
 	// MaxCells is how many cells to claim per lease request (default 1:
 	// finest-grained load balancing; raise it to amortize round trips
@@ -38,9 +35,9 @@ type WorkerOptions struct {
 	// PollMax bounds the wait between lease polls when the queue is
 	// drained but the campaign isn't done (default 2s).
 	PollMax time.Duration
-	// NetBudget is how many consecutive transport failures the worker
-	// tolerates before giving up (default 10), with resilience backoff
-	// between attempts.
+	// NetBudget is how many transient failures in a row one call
+	// tolerates before the worker gives up (default 10), with 50ms–2s
+	// jittered backoff between attempts.
 	NetBudget int
 }
 
@@ -66,6 +63,9 @@ func (o *WorkerOptions) defaults() {
 	}
 	if o.NetBudget <= 0 {
 		o.NetBudget = 10
+	}
+	if o.Client.Retry == nil {
+		o.Client.Retry = resilience.NewRetryPolicy(o.NetBudget, 0.05, 2.0, int64(len(o.BaseURL)))
 	}
 }
 
@@ -116,37 +116,6 @@ func (w *Worker) schemeFor(name string) (core.Scheme, error) {
 	return s, nil
 }
 
-// postWithRetry POSTs with bounded retries and deterministic-jitter
-// backoff on transport errors; HTTP-level errors (4xx/5xx) are not
-// retried — the coordinator's answer is authoritative.
-func (w *Worker) postWithRetry(ctx context.Context, url string, in, out any) error {
-	backoff := resilience.NewRetryPolicy(w.opts.NetBudget, 0.05, 2.0, int64(len(url)))
-	attempt := 0
-	for {
-		err := w.opts.Client.PostJSON(ctx, url, in, out)
-		if err == nil {
-			return nil
-		}
-		if _, ok := err.(*httpx.StatusError); ok {
-			return err
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		attempt++
-		delay, ok := backoff.NextDelay(attempt)
-		if !ok {
-			return fmt.Errorf("cluster: coordinator unreachable after %d attempts: %w", attempt, err)
-		}
-		mWorkerNetRetries.Inc()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Duration(delay * float64(time.Second))):
-		}
-	}
-}
-
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	select {
 	case <-ctx.Done():
@@ -169,7 +138,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		var resp LeaseResponse
 		req := LeaseRequest{WorkerID: w.opts.ID, MaxCells: w.opts.MaxCells}
-		if err := w.postWithRetry(ctx, leaseURL, req, &resp); err != nil {
+		if err := w.opts.Client.PostJSON(ctx, leaseURL, req, &resp); err != nil {
 			return err
 		}
 		if err := resp.Validate(); err != nil {
@@ -218,7 +187,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				Result:    r,
 				ElapsedNS: elapsed.Nanoseconds(),
 			}
-			if err := w.postWithRetry(ctx, completeURL, creq, &cresp); err != nil {
+			if err := w.opts.Client.PostJSON(ctx, completeURL, creq, &cresp); err != nil {
 				return err
 			}
 			outcome := "completed"

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hbm2ecc/internal/core"
@@ -97,6 +98,36 @@ func TestCheckpointCompatibility(t *testing.T) {
 	other.Seed++
 	if _, err := OpenCheckpoint(other, "", path); err == nil {
 		t.Fatal("checkpoint accepted a different seed")
+	}
+}
+
+// TestCheckpointRefusesResumeUnderAnotherGOMAXPROCS: a Parallel run
+// without pinned Shards splits each sampled class into GOMAXPROCS
+// streams, so a checkpoint written at one GOMAXPROCS holds cells another
+// GOMAXPROCS would not compute. The echo records the split actually
+// used, and the resume is refused.
+func TestCheckpointRefusesResumeUnderAnotherGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	opts := smallOpts() // Parallel, Shards 0
+	path := filepath.Join(t.TempDir(), "eval.ckpt")
+	ckpt, err := OpenCheckpoint(opts, path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Progress = ckpt.Store
+	if _, err := EvaluateCtx(core.NewSECDED(false, false), opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts.Progress = nil
+	if _, err := OpenCheckpoint(opts, "", path); err != nil {
+		t.Fatalf("resume at the same GOMAXPROCS refused: %v", err)
+	}
+	runtime.GOMAXPROCS(1)
+	if _, err := OpenCheckpoint(opts, "", path); err == nil {
+		t.Fatal("checkpoint written at GOMAXPROCS=2 resumed at GOMAXPROCS=1")
 	}
 }
 

@@ -103,6 +103,19 @@ type Options struct {
 	OnDie string
 }
 
+// streams is the sampler stream split of a sampled class, which fixes
+// its exact trial sequence: Shards pins it explicitly (machine-
+// independent); otherwise Parallel derives it from GOMAXPROCS.
+func (o *Options) streams() int {
+	switch {
+	case o.Shards > 0:
+		return o.Shards
+	case o.Parallel:
+		return runtime.GOMAXPROCS(0)
+	}
+	return 1
+}
+
 func (o *Options) defaults() {
 	if o.Samples3b <= 0 {
 		o.Samples3b = 200_000
@@ -119,7 +132,8 @@ func (o *Options) defaults() {
 // checkpoint (see campaign.Open); pass its Lookup and Store as the
 // Resume and Progress hooks. The config echo is every option that
 // shapes a cell's trial stream: the seed, the three sample counts, the
-// shard split and the on-die stage.
+// stream split actually used (so a Parallel run refuses a resume under
+// another GOMAXPROCS) and the on-die stage.
 func OpenCheckpoint(opts Options, checkpointPath, resumePath string) (*campaign.Checkpoint[errormodel.Pattern, PatternResult], error) {
 	opts.defaults()
 	echo := struct {
@@ -129,7 +143,7 @@ func OpenCheckpoint(opts Options, checkpointPath, resumePath string) (*campaign.
 		SamplesEntry int    `json:"samples_entry"`
 		Shards       int    `json:"shards"`
 		OnDie        string `json:"ondie"`
-	}{opts.Seed, opts.Samples3b, opts.SamplesBeat, opts.SamplesEntry, opts.Shards, opts.OnDie}
+	}{opts.Seed, opts.Samples3b, opts.SamplesBeat, opts.SamplesEntry, opts.streams(), opts.OnDie}
 	return campaign.Open[errormodel.Pattern, PatternResult](echo, checkpointPath, resumePath)
 }
 
@@ -495,19 +509,13 @@ const cancelCheckStride = 4096
 
 func evaluateSampled(s core.Scheme, wire bitvec.V288, p errormodel.Pattern, n int, opts Options) (PatternResult, bool) {
 	seed, ctx := opts.Seed, opts.Ctx
-	// The worker count fixes the sampler stream split, and therefore the
-	// exact trial sequence: Shards pins it explicitly (machine-
-	// independent); otherwise Parallel derives it from GOMAXPROCS.
-	workers := 1
-	if opts.Shards > 0 {
-		workers = opts.Shards
-		if workers > n {
+	// Pinned shards cap at one trial per stream; a GOMAXPROCS split of
+	// a tiny class falls back to one stream.
+	workers := opts.streams()
+	if workers > n {
+		workers = 1
+		if opts.Shards > 0 {
 			workers = n
-		}
-	} else if opts.Parallel {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > n {
-			workers = 1
 		}
 	}
 	type counts struct{ n, dce, due, sdc int }

@@ -257,6 +257,9 @@ func DecodeStrict(data []byte, limit int, v any) error {
 	return nil
 }
 
+var mClientRetries = obs.NewCounter("httpx_client_retries_total",
+	"Client HTTP calls retried after transient failures.").With()
+
 // Client is a hardened JSON-over-HTTP client: overall per-request
 // timeout, bounded response bodies, JSON round-tripping, and optional
 // jittered-backoff retries for transient failures.
@@ -341,6 +344,7 @@ func (c *Client) doRetry(ctx context.Context, build func() (*http.Request, error
 		if !ok {
 			return err
 		}
+		mClientRetries.Inc()
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

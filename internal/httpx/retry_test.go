@@ -43,6 +43,23 @@ func TestRetryRidesOutTransientServerErrors(t *testing.T) {
 	}
 }
 
+// TestRetriesAreCounted: every retry a Client makes, whoever owns it
+// (cluster workers, fleet agents), lands in httpx_client_retries_total.
+func TestRetriesAreCounted(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "always down", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+
+	before := mClientRetries.Value()
+	if err := retryClient(3).GetJSON(context.Background(), srv.URL, nil); err == nil {
+		t.Fatal("dead server answered")
+	}
+	if got := mClientRetries.Value() - before; got != 3 {
+		t.Fatalf("httpx_client_retries_total rose by %d, want 3", got)
+	}
+}
+
 func TestRetryNeverRepeatsClientErrors(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -42,8 +42,8 @@ go run ./cmd/bench -quick -gate -out "$bench_out" >/dev/null
 test -s "$bench_out"
 rm -f "$bench_out"
 
-echo "== cluster smoke: ecceval -workers 2 =="
-go run ./cmd/ecceval -workers 2 -samples 2000 >/dev/null
+echo "== cluster smoke: campaignd with two embedded workers =="
+go run ./cmd/campaignd -listen 127.0.0.1:0 -workers 2 -samples 2000 >/dev/null
 
 echo "== serve smoke: decoded + loadgen =="
 serve_dir="$(mktemp -d "${TMPDIR:-/tmp}/hbm2ecc_serve_smoke.XXXXXX")"
@@ -183,7 +183,7 @@ for col in masked "tolerable SDC" "critical SDC" DUE crash "End-to-end FIT"; do
 	grep -q "$col" "$wl_out" || { echo "workload report missing '$col'"; cat "$wl_out"; exit 1; }
 done
 
-echo "== checkpoint smoke: resumed runs reprint the report; campaignd resumes ecceval -workers; old formats refused =="
+echo "== checkpoint smoke: resumed runs reprint the report; campaignd resumes its own checkpoint; old formats refused =="
 ck_dir="$serve_dir/checkpoint"
 mkdir -p "$ck_dir"
 go build -o "$serve_dir/ecceval" ./cmd/ecceval
@@ -220,13 +220,24 @@ done
 "$serve_dir/ecceval" -workload -workload-runs 40 -checkpoint "$ck_dir/g" >"$ck_dir/g.out"
 "$serve_dir/ecceval" -workload -workload-runs 40 -resume "$ck_dir/g" >"$ck_dir/g.resumed" 2>/dev/null
 cmp "$ck_dir/g.out" "$ck_dir/g.resumed"
-# One file format for both coordinators: campaignd finishes a campaign
-# from the checkpoint ecceval -workers wrote, with the same report.
-"$serve_dir/ecceval" -workers 2 -samples 2000 -checkpoint "$ck_dir/h" |
-	grep -v '^Distributed campaign' >"$ck_dir/h.out"
+# campaignd finishes a campaign from its own checkpoint under another
+# worker count, with the same report; every cell is one sampler stream,
+# so that report is also the single-stream (GOMAXPROCS=1) ecceval one.
+"$serve_dir/campaignd" -workers 2 -samples 2000 -listen 127.0.0.1:0 -checkpoint "$ck_dir/h" \
+	>"$ck_dir/h.out" 2>"$ck_dir/campaignd.log" || { cat "$ck_dir/campaignd.log"; exit 1; }
 "$serve_dir/campaignd" -workers 1 -samples 2000 -listen 127.0.0.1:0 -resume "$ck_dir/h" \
 	>"$ck_dir/h.resumed" 2>"$ck_dir/campaignd.log" || { cat "$ck_dir/campaignd.log"; exit 1; }
 cmp "$ck_dir/h.out" "$ck_dir/h.resumed"
+GOMAXPROCS=1 "$serve_dir/ecceval" -samples 2000 >"$ck_dir/h.seq"
+cmp "$ck_dir/h.out" "$ck_dir/h.seq"
+
+echo "== repro smoke: the report does not depend on GOMAXPROCS =="
+go build -o "$serve_dir/repro" ./cmd/repro
+for procs in 1 2; do
+	GOMAXPROCS=$procs "$serve_dir/repro" -runs 12 -samples 20000 |
+		grep -v '^total runtime' >"$ck_dir/repro.$procs"
+done
+cmp "$ck_dir/repro.1" "$ck_dir/repro.2"
 
 echo "== bench smoke: cmd/bench -workload -quick (resume differential) =="
 go run ./cmd/bench -workload -quick -out "$serve_dir/bench_workload.json" >/dev/null
