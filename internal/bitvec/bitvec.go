@@ -306,52 +306,46 @@ func (v V288) DataWord(b int) uint64 {
 	return w
 }
 
+// ByteLanes returns a 36-bit mask whose bit i is set when aligned byte i
+// of v holds a set bit. Because ByteBase(i) == 8*i, lane i is the
+// little-endian byte i%8 of word i/8, so the mask costs one gather per
+// word. Beat b owns lanes [9b, 9b+9); lane 9b+8 is its ECC byte.
+func (v V288) ByteLanes() uint64 {
+	return nonzeroBytes(v[0]) | nonzeroBytes(v[1])<<8 | nonzeroBytes(v[2])<<16 |
+		nonzeroBytes(v[3])<<24 | nonzeroBytes(v[4]&v288TopMask)<<32
+}
+
+// nonzeroBytes returns an 8-bit mask whose bit k is set when byte k of x
+// is nonzero: each byte is folded onto its low bit, then the eight low
+// bits are gathered into the top byte by one multiply (the partial
+// products land on distinct bit positions, so nothing carries).
+func nonzeroBytes(x uint64) uint64 {
+	x |= x >> 4
+	x |= x >> 2
+	x |= x >> 1
+	return (x & 0x0101010101010101) * 0x0102040810204080 >> 56
+}
+
 // SameByte reports whether all set bits of v lie in one aligned byte.
 // The zero vector reports false.
-func (v V288) SameByte() bool {
-	set := v.Bits()
-	if len(set) == 0 {
-		return false
-	}
-	b := ByteOfBit(set[0])
-	for _, i := range set[1:] {
-		if ByteOfBit(i) != b {
-			return false
-		}
-	}
-	return true
-}
+func (v V288) SameByte() bool { return bits.OnesCount64(v.ByteLanes()) == 1 }
 
-// SamePin reports whether all set bits of v lie on one pin.
-// The zero vector reports false.
+// SamePin reports whether all set bits of v lie on one pin: the OR of
+// the four beats has exactly one bit set. The zero vector reports false.
 func (v V288) SamePin() bool {
-	set := v.Bits()
-	if len(set) == 0 {
-		return false
-	}
-	p := PinOfBit(set[0])
-	for _, i := range set[1:] {
-		if PinOfBit(i) != p {
-			return false
-		}
-	}
-	return true
+	return v.Beat(0).Or(v.Beat(1)).Or(v.Beat(2)).Or(v.Beat(3)).OnesCount() == 1
 }
 
-// SameBeat reports whether all set bits of v lie in one beat.
-// The zero vector reports false.
+// SameBeat reports whether all set bits of v lie in one beat: exactly one
+// beat is nonzero. The zero vector reports false.
 func (v V288) SameBeat() bool {
-	set := v.Bits()
-	if len(set) == 0 {
-		return false
-	}
-	b := BeatOfBit(set[0])
-	for _, i := range set[1:] {
-		if BeatOfBit(i) != b {
-			return false
+	n := 0
+	for b := 0; b < Beats; b++ {
+		if !v.Beat(b).IsZero() {
+			n++
 		}
 	}
-	return true
+	return n == 1
 }
 
 // V72FromUint64 builds a V72 whose low 64 bits are lo and whose bits 64..71

@@ -8,6 +8,7 @@
 package classify
 
 import (
+	"math/bits"
 	"sort"
 
 	"hbm2ecc/internal/bitvec"
@@ -257,19 +258,13 @@ func finishEvent(ev *Event) {
 
 // maskByteAligned reports whether, within every 64b word, the error bits
 // are confined to a single aligned byte (the paper's byte-aligned error
-// definition, Fig. 4c).
+// definition, Fig. 4c): each beat's 9 byte lanes, the ECC lane included,
+// hold at most one nonzero lane.
 func maskByteAligned(m bitvec.V288) bool {
-	for w := 0; w < bitvec.Beats; w++ {
-		beat := m.Beat(w)
-		if beat.IsZero() {
-			continue
-		}
-		bits := beat.Bits()
-		b0 := bits[0] / 8
-		for _, b := range bits[1:] {
-			if b/8 != b0 {
-				return false
-			}
+	lanes := m.ByteLanes()
+	for b := 0; b < bitvec.Beats; b++ {
+		if bits.OnesCount64(lanes>>(bitvec.BytesPer72*b)&0x1FF) > 1 {
+			return false
 		}
 	}
 	return true

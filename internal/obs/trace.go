@@ -12,8 +12,9 @@ import (
 // Tracer produces spans: named, timed phases of a long-running job,
 // arranged in per-campaign trees. Finishing a span records its duration
 // into an obs_span_duration_seconds histogram on the tracer's registry
-// (labeled by span name), so aggregate phase timings survive even when
-// individual spans are dropped by the retention caps.
+// (labeled by span name) and into the phase aggregates, so phase timings
+// survive whether or not the trees are retained. A new tracer retains no
+// trees; SetLimits opts in.
 type Tracer struct {
 	durations *HistogramVec
 
@@ -48,10 +49,8 @@ func NewTracer(r *Registry) *Tracer {
 		durations: r.Histogram("obs_span_duration_seconds",
 			"Wall-clock duration of finished spans by name.",
 			ExpBuckets(1e-6, 4, 16), "span"),
-		maxRoots: 64,
-		maxSpans: 8192,
-		phases:   map[string]*PhaseStat{},
-		now:      time.Now,
+		phases: map[string]*PhaseStat{},
+		now:    time.Now,
 	}
 }
 
@@ -65,9 +64,13 @@ func (t *Tracer) SetClock(fn func() time.Time) {
 	t.mu.Unlock()
 }
 
-// SetLimits adjusts the span retention caps (maximum retained root spans
-// and maximum retained spans in total). Aggregate phase statistics are
-// unaffected by retention.
+// SetLimits sets the span retention caps: the tracer keeps the maxRoots
+// most recent root trees, and at most maxSpans spans in total across them;
+// children past that cap are timed but not attached. Zero (the default of
+// a new tracer) keeps nothing: with maxRoots <= 0 no tree is built, and
+// with maxSpans <= 0 retained roots get no children. Phase aggregates and
+// the duration histogram are unaffected by retention. Limits apply to
+// spans started after the call.
 func (t *Tracer) SetLimits(maxRoots, maxSpans int) {
 	t.mu.Lock()
 	t.maxRoots, t.maxSpans = maxRoots, maxSpans
@@ -81,6 +84,7 @@ type Span struct {
 	Name string
 
 	t      *Tracer
+	keep   bool // attached to a retained tree; only such spans keep children
 	start  time.Time
 	end    time.Time
 	attrs  map[string]string
@@ -91,15 +95,17 @@ type Span struct {
 // Start opens a new root span.
 func (t *Tracer) Start(name string) *Span {
 	t.mu.Lock()
-	s := &Span{Name: name, t: t, start: t.now()}
-	if len(t.roots) >= t.maxRoots && t.maxRoots > 0 {
-		// FIFO: the oldest campaign tree ages out, releasing its
-		// retention budget to future spans.
-		t.retained -= subtreeSize(t.roots[0])
-		t.roots = t.roots[1:]
+	s := &Span{Name: name, t: t, start: t.now(), keep: t.maxRoots > 0}
+	if s.keep {
+		if len(t.roots) >= t.maxRoots {
+			// FIFO: the oldest campaign tree ages out, releasing its
+			// retention budget to future spans.
+			t.retained -= subtreeSize(t.roots[0])
+			t.roots = t.roots[1:]
+		}
+		t.roots = append(t.roots, s)
+		t.retained++
 	}
-	t.roots = append(t.roots, s)
-	t.retained++
 	t.mu.Unlock()
 	return s
 }
@@ -115,24 +121,24 @@ func subtreeSize(s *Span) int {
 	return n
 }
 
-// Child opens a sub-span. Children are retained in start order until the
-// tracer's span cap is reached; past the cap they are still timed (and
-// aggregated) but not attached to the tree.
+// Child opens a sub-span. Children of a retained span are retained in
+// start order until the tracer's span cap is reached; past the cap, or
+// under an unretained parent, they are still timed (and aggregated) but
+// not attached to a tree.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
 	t := s.t
 	t.mu.Lock()
-	c := &Span{Name: name, t: t, start: t.now()}
-	retain := t.retained < t.maxSpans || t.maxSpans <= 0
-	if retain {
+	c := &Span{Name: name, t: t, start: t.now(), keep: s.keep && t.retained < t.maxSpans}
+	if c.keep {
 		t.retained++
 	} else {
 		t.dropped++
 	}
 	t.mu.Unlock()
-	if retain {
+	if c.keep {
 		s.smu.Lock()
 		s.childs = append(s.childs, c)
 		s.smu.Unlock()
@@ -203,7 +209,7 @@ func (t *Tracer) Roots() []*Span {
 	return append([]*Span(nil), t.roots...)
 }
 
-// Dropped returns how many spans were timed but not retained.
+// Dropped returns how many child spans were timed but not retained.
 func (t *Tracer) Dropped() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

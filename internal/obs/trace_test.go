@@ -22,7 +22,40 @@ func newTestTracer() (*Tracer, *Registry) {
 	r := NewRegistry()
 	tr := NewTracer(r)
 	tr.SetClock((&fakeClock{t: time.Unix(0, 0), step: time.Millisecond}).now)
+	tr.SetLimits(64, 8192)
 	return tr, r
+}
+
+// TestDefaultTracerRetainsNoTrees checks that span trees are opt-in: by
+// default finished spans feed only the phase aggregates, and SetLimits
+// turns tree retention on.
+func TestDefaultTracerRetainsNoTrees(t *testing.T) {
+	run := func() {
+		s := DefaultTracer.Start("retention_probe")
+		s.Child("leaf").Finish()
+		s.Finish()
+	}
+	run()
+	if roots := DefaultTracer.Roots(); len(roots) != 0 {
+		t.Fatalf("DefaultTracer retained %d trees by default", len(roots))
+	}
+	count := 0
+	for _, p := range DefaultTracer.Phases() {
+		if p.Name == "leaf" {
+			count = p.Count
+		}
+	}
+	if count != 1 {
+		t.Fatalf("leaf phase count = %d, want 1 (aggregates must not depend on retention)", count)
+	}
+
+	DefaultTracer.SetLimits(4, 64)
+	defer DefaultTracer.SetLimits(0, 0)
+	run()
+	roots := DefaultTracer.Roots()
+	if len(roots) != 1 || roots[0].Name != "retention_probe" || len(roots[0].Children()) != 1 {
+		t.Fatalf("after SetLimits: roots = %v", roots)
+	}
 }
 
 // TestSpanTreeOrdering verifies that a campaign-shaped span tree retains

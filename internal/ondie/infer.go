@@ -125,9 +125,9 @@ const probeRetention = 1e-6
 // run writes the all-zero pattern (every cell — data and parity alike —
 // stores 0, independent of the unknown H), plants anti-cells (LeakTo=1)
 // at the given visible bits and hidden parity cells of a fresh entry,
-// reads it beyond refresh, and returns the observed visible error bits.
+// reads it beyond refresh, and returns the observed visible error.
 // The entry is retired afterwards so probes never interact.
-func (p *probe) run(visible []int, parity []int) []int {
+func (p *probe) run(visible []int, parity []int) bitvec.V288 {
 	entry := p.next
 	p.next++
 	for _, b := range visible {
@@ -141,7 +141,7 @@ func (p *probe) run(visible []int, parity []int) []int {
 	p.res.Experiments++
 	p.res.Reads++
 	p.dev.RetireEntries([]int64{entry})
-	return obs.Bits()
+	return obs
 }
 
 // Infer recovers the exact H-matrix of the unknown on-die code installed
@@ -217,9 +217,10 @@ func (p *probe) recoverChunk(cg chunkGeo) ([]uint16, error) {
 			canary = 1
 		}
 		found := false
+		want := bitvec.V288{}.FlipBit(cg.off + j)
 		for u := uint16(0); int(u) < 1<<uint(p.geo.R); u++ {
 			obs := p.run([]int{cg.off + canary, cg.off + j}, parityOf(u))
-			if len(obs) == 1 && obs[0] == cg.off+j {
+			if obs == want {
 				cols[j] = u
 				found = true
 				break
