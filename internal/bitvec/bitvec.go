@@ -10,10 +10,12 @@
 //   - Beat b occupies entry bits [72b, 72b+72).
 //   - Within a beat, bits 0..63 are the 64 data pins (one 64b "word" in the
 //     paper's terminology) and bits 64..71 are the 8 ECC pins.
-//   - Physical aligned byte B (0..35) occupies bits [72*(B/9)+8*(B%9), +8).
+//   - Physical aligned byte B (0..35) occupies bits [72*(B/9)+8*(B%9), +8),
+//     which is [8B, 8B+8): byte B%8 of packed word B/8.
 package bitvec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -221,29 +223,24 @@ func (v V288) SetBeat(b int, w V72) V288 {
 	return v
 }
 
-// Byte extracts aligned byte i (0..35) from the entry.
-func (v V288) Byte(i int) byte {
-	base := ByteBase(i)
-	var b byte
-	for k := 0; k < 8; k++ {
-		b |= byte(v.Bit(base+k)) << uint(k)
-	}
-	return b
-}
+// Byte extracts aligned byte i (0..35) from the entry: byte i%8 of word
+// i/8, because ByteBase(i) == 8*i.
+func (v V288) Byte(i int) byte { return byte(v[i>>3] >> (uint(i&7) * 8)) }
 
 // SetByte returns v with aligned byte i replaced.
 func (v V288) SetByte(i int, val byte) V288 {
-	base := ByteBase(i)
-	for k := 0; k < 8; k++ {
-		v = v.SetBit(base+k, uint(val>>uint(k))&1)
-	}
+	sh := uint(i&7) * 8
+	v[i>>3] = v[i>>3]&^(0xFF<<sh) | uint64(val)<<sh
 	return v
 }
 
 // ByteBase returns the entry-bit index of the first bit of aligned byte i.
 // Bytes 0..8 of beat 0 are followed by bytes 9..17 of beat 1, and so on;
-// the 9th byte of each beat (i%9 == 8) is that beat's ECC byte.
-func ByteBase(i int) int { return (i/BytesPer72)*BeatBits + (i%BytesPer72)*8 }
+// the 9th byte of each beat (i%9 == 8) is that beat's ECC byte. A beat is
+// exactly nine bytes wide, so the beat-and-offset form
+// (i/9)*72 + (i%9)*8 reduces to the identity ByteBase(i) == 8*i: aligned
+// byte i is the little-endian byte i%8 of word i/8.
+func ByteBase(i int) int { return 8 * i }
 
 // ByteOfBit returns the aligned-byte index containing entry bit i.
 func ByteOfBit(i int) int { return (i/BeatBits)*BytesPer72 + (i%BeatBits)/8 }
@@ -268,43 +265,46 @@ func WordOfBit(i int) int {
 	return i / BeatBits
 }
 
+// FromBeats assembles an entry from its four beats. Beat b occupies entry
+// bits [72b, 72b+72), which start at bit 8b of word b, so each beat lands
+// with one shift per word. It equals four SetBeat calls on the zero entry
+// and builds the entry in registers instead of copying it four times.
+func FromBeats(w [Beats]V72) V288 {
+	return V288{
+		w[0].Lo,
+		w[0].Hi&hiMask | w[1].Lo<<8,
+		w[1].Lo>>56 | (w[1].Hi&hiMask)<<8 | w[2].Lo<<16,
+		w[2].Lo>>48 | (w[2].Hi&hiMask)<<16 | w[3].Lo<<24,
+		w[3].Lo>>40 | (w[3].Hi&hiMask)<<24,
+	}
+}
+
 // FromDataECC assembles an entry from 32B of data and 4B of check bytes.
 // Data byte d lands in beat d/8 at in-beat byte d%8; check byte c lands in
-// beat c as the beat's 9th byte (pins 64..71).
+// beat c as the beat's 9th byte (pins 64..71): beat b is
+// V72{Lo: data word b, Hi: ecc[b]}.
 func FromDataECC(data [DataBytes]byte, ecc [4]byte) V288 {
-	var v V288
-	for d, val := range data {
-		beat, pos := d/8, d%8
-		v = v.SetByte(beat*BytesPer72+pos, val)
-	}
-	for c, val := range ecc {
-		v = v.SetByte(c*BytesPer72+8, val)
-	}
-	return v
+	return FromBeats([Beats]V72{
+		{Lo: binary.LittleEndian.Uint64(data[0:]), Hi: uint64(ecc[0])},
+		{Lo: binary.LittleEndian.Uint64(data[8:]), Hi: uint64(ecc[1])},
+		{Lo: binary.LittleEndian.Uint64(data[16:]), Hi: uint64(ecc[2])},
+		{Lo: binary.LittleEndian.Uint64(data[24:]), Hi: uint64(ecc[3])},
+	})
 }
 
 // DataECC splits an entry back into 32B of data and 4B of check bytes,
 // inverting FromDataECC.
 func (v V288) DataECC() (data [DataBytes]byte, ecc [4]byte) {
-	for d := range data {
-		beat, pos := d/8, d%8
-		data[d] = v.Byte(beat*BytesPer72 + pos)
-	}
-	for c := range ecc {
-		ecc[c] = v.Byte(c*BytesPer72 + 8)
+	for b := 0; b < Beats; b++ {
+		w := v.Beat(b)
+		binary.LittleEndian.PutUint64(data[8*b:], w.Lo)
+		ecc[b] = byte(w.Hi)
 	}
 	return data, ecc
 }
 
 // DataWord returns the 64b data word of beat b (pins 0..63).
-func (v V288) DataWord(b int) uint64 {
-	var w uint64
-	base := b * BeatBits
-	for i := 0; i < DataBits; i++ {
-		w |= uint64(v.Bit(base+i)) << uint(i)
-	}
-	return w
-}
+func (v V288) DataWord(b int) uint64 { return v.Beat(b).Lo }
 
 // ByteLanes returns a 36-bit mask whose bit i is set when aligned byte i
 // of v holds a set bit. Because ByteBase(i) == 8*i, lane i is the

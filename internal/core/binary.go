@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -146,36 +147,53 @@ func (b *Binary) Name() string { return b.name }
 // at one bit per codeword and therefore correct them.
 func (b *Binary) CorrectsPins() bool { return true }
 
+// pinClass[r] selects, within one beat, the pins j with j%4 == r.
+// Interleaved codeword c puts its bit j on pin j of beat (c+j)%4
+// (interleave.PhysicalOfCodewordBit), so beat b carries codeword c on
+// pin class (b-c)%4.
+var pinClass = [4]bitvec.V72{
+	{Lo: 0x1111111111111111, Hi: 0x11},
+	{Lo: 0x2222222222222222, Hi: 0x22},
+	{Lo: 0x4444444444444444, Hi: 0x44},
+	{Lo: 0x8888888888888888, Hi: 0x88},
+}
+
 // Encode implements Scheme. User data byte 8c+k is carried by data bits
 // [8k, 8k+8) of codeword c.
 func (b *Binary) Encode(data [bitvec.DataBytes]byte) bitvec.V288 {
-	var wire bitvec.V288
-	for c := 0; c < 4; c++ {
-		var word uint64
-		for k := 0; k < 8; k++ {
-			word |= uint64(data[c*8+k]) << uint(8*k)
-		}
-		cw := b.h.Codeword(word)
-		for j := 0; j < gf2.N; j++ {
-			if cw.Bit(j) != 0 {
-				wire = wire.FlipBit(int(b.physOf[c][j]))
-			}
+	var cw [4]bitvec.V72
+	for c := range cw {
+		cw[c] = b.h.Codeword(binary.LittleEndian.Uint64(data[8*c:]))
+	}
+	if !b.interleaved {
+		return bitvec.FromBeats(cw)
+	}
+	var beats [4]bitvec.V72
+	for beat := range beats {
+		for c := 0; c < 4; c++ {
+			beats[beat] = beats[beat].Or(cw[c].And(pinClass[(beat-c)&3]))
 		}
 	}
-	return wire
+	return bitvec.FromBeats(beats)
 }
 
-// ExtractData implements Scheme.
+// ExtractData implements Scheme: the data half of Encode's beat
+// assembly, run backwards on each beat's data pins.
 func (b *Binary) ExtractData(wire bitvec.V288) [bitvec.DataBytes]byte {
+	var lo [4]uint64
+	for beat := range lo {
+		lo[beat] = wire.Beat(beat).Lo
+	}
 	var data [bitvec.DataBytes]byte
 	for c := 0; c < 4; c++ {
-		for k := 0; k < 8; k++ {
-			var v byte
-			for bit := 0; bit < 8; bit++ {
-				v |= byte(wire.Bit(int(b.physOf[c][8*k+bit]))) << uint(bit)
+		word := lo[c]
+		if b.interleaved {
+			word = 0
+			for beat := 0; beat < 4; beat++ {
+				word |= lo[beat] & pinClass[(beat-c)&3].Lo
 			}
-			data[c*8+k] = v
 		}
+		binary.LittleEndian.PutUint64(data[8*c:], word)
 	}
 	return data
 }

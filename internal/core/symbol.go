@@ -157,29 +157,25 @@ func (s *Symbol) gatherSymbols(cw int, wire bitvec.V288, out []uint8) {
 	}
 }
 
-// scatterSymbol writes one symbol value back to the wire.
-func (s *Symbol) scatterSymbol(cw, pos int, v uint8, wire bitvec.V288) bitvec.V288 {
-	bits := &s.layout[cw][pos]
-	for k := 0; k < 8; k++ {
-		wire = wire.SetBit(int(bits[k]), uint(v>>uint(k))&1)
-	}
-	return wire
-}
-
 // Encode implements Scheme. User data byte ordering follows the layouts:
 // for SSC-DSD+ data symbol d is user byte d; for I:SSC, user data bytes
 // are placed at their standard wire positions (FromDataECC layout) and the
 // codeword data symbols are the 4-pin×2-beat regroupings of those bits.
+// The check symbols come from the syndromes of the data with zeroed check
+// positions (one SynTab lookup per symbol) and are written back through
+// the same segment plan that gathered the data.
 func (s *Symbol) Encode(data [bitvec.DataBytes]byte) bitvec.V288 {
 	wire := bitvec.FromDataECC(data, [4]byte{})
-	nsym := s.rs.N
-	k := s.rs.K
-	symbols := make([]uint8, nsym)
-	for cw := range s.layout {
-		s.gatherSymbols(cw, wire, symbols)
-		s.rs.Encode(symbols[:k:k], symbols)
-		for t := k; t < nsym; t++ {
-			wire = s.scatterSymbol(cw, t, symbols[t], wire)
+	var buf [36]uint8
+	for cw, segs := range s.fast.segs {
+		symbols := buf[:len(segs)]
+		s.gatherFast(cw, &wire, symbols)
+		checks := s.rs.ChecksFromSyndromes(s.fast.tab.Packed(symbols))
+		for t := s.rs.K; t < s.rs.N; t++ {
+			v := uint8(checks >> uint(8*(t-s.rs.K)))
+			for _, g := range segs[t] {
+				wire[g.word] |= uint64(v>>g.lsh&g.mask) << g.rsh
+			}
 		}
 	}
 	return wire

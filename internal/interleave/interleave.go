@@ -75,8 +75,17 @@ func CodewordOfPhysical(p int) int { return fromPhysical[p] / bitvec.BeatBits }
 func InCodewordOfPhysical(p int) int { return fromPhysical[p] % bitvec.BeatBits }
 
 // PhysicalOfCodewordBit returns the physical bit index of bit j of
-// interleaved codeword c.
-func PhysicalOfCodewordBit(c, j int) int { return toPhysical[c*bitvec.BeatBits+j] }
+// interleaved codeword c. Because 73·72 ≡ 72 (mod 288), Eq. 1 gives
+// 73·(72c+j) ≡ 72(c+j) + j, which is the identity
+//
+//	PhysicalOfCodewordBit(c, j) == 72*((c+j)%4) + j
+//
+// Bit j of every codeword travels on pin j; codeword c uses that pin in
+// beat (c+j)%4. Beat b therefore carries codeword c on the pins
+// j ≡ b-c (mod 4), so word-level encoders move whole pin classes.
+func PhysicalOfCodewordBit(c, j int) int {
+	return bitvec.BeatBits*((c+j)%bitvec.Beats) + j
+}
 
 // Symbol2bOfBit returns, for interleaved codeword bit j, the index of the
 // 2-bit symbol it belongs to under the stride-4 pairing used by TrioECC's

@@ -141,3 +141,21 @@ func TestGatherMovesBeats(t *testing.T) {
 		}
 	}
 }
+
+// TestPhysicalOfCodewordBitIdentity checks the closed form
+// PhysicalOfCodewordBit(c, j) == 72*((c+j)%4) + j against Eq. 1
+// (73·(72c+j) mod 288): bit j of codeword c travels on pin j in beat
+// (c+j)%4.
+func TestPhysicalOfCodewordBitIdentity(t *testing.T) {
+	for c := 0; c < bitvec.Beats; c++ {
+		for j := 0; j < bitvec.BeatBits; j++ {
+			got := PhysicalOfCodewordBit(c, j)
+			if want := 72*((c+j)%4) + j; got != want {
+				t.Fatalf("PhysicalOfCodewordBit(%d, %d) = %d, want 72*((c+j)%%4)+j = %d", c, j, got, want)
+			}
+			if eq1 := PhysicalOf(c*bitvec.BeatBits + j); got != eq1 {
+				t.Fatalf("PhysicalOfCodewordBit(%d, %d) = %d, Eq. 1 gives %d", c, j, got, eq1)
+			}
+		}
+	}
+}

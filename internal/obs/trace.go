@@ -84,7 +84,7 @@ type Span struct {
 	Name string
 
 	t      *Tracer
-	keep   bool // attached to a retained tree; only such spans keep children
+	keep   bool // attached to a retained tree; only such spans keep children (guarded by t.mu)
 	start  time.Time
 	end    time.Time
 	attrs  map[string]string
@@ -100,7 +100,7 @@ func (t *Tracer) Start(name string) *Span {
 		if len(t.roots) >= t.maxRoots {
 			// FIFO: the oldest campaign tree ages out, releasing its
 			// retention budget to future spans.
-			t.retained -= subtreeSize(t.roots[0])
+			t.retained -= release(t.roots[0])
 			t.roots = t.roots[1:]
 		}
 		t.roots = append(t.roots, s)
@@ -110,13 +110,16 @@ func (t *Tracer) Start(name string) *Span {
 	return s
 }
 
-func subtreeSize(s *Span) int {
+// release detaches an evicted tree from the retention budget: it clears
+// keep over s's subtree, so children its still-running spans open later
+// are not counted, and returns the subtree size. The caller holds t.mu,
+// under which every child is attached, so the subtree cannot grow
+// meanwhile.
+func release(s *Span) int {
+	s.keep = false
 	n := 1
-	s.smu.Lock()
-	kids := append([]*Span(nil), s.childs...)
-	s.smu.Unlock()
-	for _, c := range kids {
-		n += subtreeSize(c)
+	for _, c := range s.childs {
+		n += release(c)
 	}
 	return n
 }
@@ -134,15 +137,13 @@ func (s *Span) Child(name string) *Span {
 	c := &Span{Name: name, t: t, start: t.now(), keep: s.keep && t.retained < t.maxSpans}
 	if c.keep {
 		t.retained++
+		s.smu.Lock()
+		s.childs = append(s.childs, c)
+		s.smu.Unlock()
 	} else {
 		t.dropped++
 	}
 	t.mu.Unlock()
-	if c.keep {
-		s.smu.Lock()
-		s.childs = append(s.childs, c)
-		s.smu.Unlock()
-	}
 	return c
 }
 

@@ -165,6 +165,49 @@ func TestSpanRetentionCaps(t *testing.T) {
 	}
 }
 
+// TestEvictedRootReleasesBudget checks that an evicted root which keeps
+// running does not charge its later children to the span budget: with
+// SetLimits(1, 10), root a is evicted by root b, a opens 8 children, then
+// three more roots open one child each. The retained count must equal the
+// spans actually kept, and the last root's child must be kept.
+func TestEvictedRootReleasesBudget(t *testing.T) {
+	tr, _ := newTestTracer()
+	tr.SetLimits(1, 10)
+	a := tr.Start("a")
+	tr.Start("b").Finish()
+	for i := 0; i < 8; i++ {
+		a.Child("late").Finish()
+	}
+	a.Finish()
+	var last *Span
+	for i := 0; i < 3; i++ {
+		last = tr.Start("root")
+		last.Child("leaf").Finish()
+		last.Finish()
+	}
+	kept := 0
+	var count func(s *Span)
+	count = func(s *Span) {
+		kept++
+		for _, c := range s.Children() {
+			count(c)
+		}
+	}
+	roots := tr.Roots()
+	for _, r := range roots {
+		count(r)
+	}
+	tr.mu.Lock()
+	retained := tr.retained
+	tr.mu.Unlock()
+	if retained != kept {
+		t.Fatalf("retained = %d, but the kept trees hold %d spans", retained, kept)
+	}
+	if len(roots) != 1 || roots[0] != last || len(last.Children()) != 1 {
+		t.Fatalf("the newest root and its child must be kept; roots = %d", len(roots))
+	}
+}
+
 func TestNilSpanIsNoOp(t *testing.T) {
 	var s *Span
 	c := s.Child("x")

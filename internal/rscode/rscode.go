@@ -30,6 +30,9 @@ type Code struct {
 	R    int
 	enc  [][]uint8 // enc[r][i]: contribution of data symbol i to check r
 	pow  [][]uint8 // pow[j][i] = α^(i·j) for syndrome computation
+	// checkInv = A⁻¹ (see New) maps the syndromes of a word with zeroed
+	// check symbols to the check symbols that cancel them.
+	checkInv [][]uint8
 }
 
 // New constructs an (n,k) code over field f. n is limited to 255.
@@ -62,6 +65,7 @@ func New(f *gf256.Field, n, k int) (*Code, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rscode: check matrix singular: %w", err)
 	}
+	c.checkInv = inv
 	c.enc = make([][]uint8, r)
 	for t := 0; t < r; t++ {
 		c.enc[t] = make([]uint8, k)
@@ -135,6 +139,24 @@ func (c *Code) Encode(data, cw []uint8) {
 		}
 		cw[c.K+t] = s
 	}
+}
+
+// ChecksFromSyndromes returns the check symbols that complete a word whose
+// check positions are zero, given that word's packed syndromes (SynTab
+// layout: syndrome j in bits [8j, 8j+8)). Check symbol t is returned in
+// bits [8t, 8t+8). The checks must cancel the data's syndromes,
+// A·c = S with A[j][t] = α^((K+t)·j), so c = A⁻¹·S: R² multiplies in
+// place of Encode's R·K. It requires R <= 4.
+func (c *Code) ChecksFromSyndromes(packed uint32) uint32 {
+	var out uint32
+	for t, row := range c.checkInv {
+		var v uint8
+		for j, m := range row {
+			v ^= c.F.Mul(m, uint8(packed>>uint(8*j)))
+		}
+		out |= uint32(v) << uint(8*t)
+	}
+	return out
 }
 
 // Syndromes fills syn (length R) with the syndromes of cw.

@@ -59,6 +59,26 @@ func TestEncodeZeroSyndromes(t *testing.T) {
 	}
 }
 
+// TestChecksFromSyndromesMatchesEncode checks that A⁻¹ applied to the
+// syndromes of (data, 0) gives exactly Encode's check symbols.
+func TestChecksFromSyndromesMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, c := range []*Code{newSSC(t), newDSDPlus(t)} {
+		tab := c.NewSynTab()
+		for trial := 0; trial < 500; trial++ {
+			cw := make([]uint8, c.N)
+			copy(cw, randData(rng, c.K))
+			checks := c.ChecksFromSyndromes(tab.Packed(cw))
+			c.Encode(cw[:c.K], cw)
+			for i := 0; i < c.R; i++ {
+				if got := uint8(checks >> uint(8*i)); got != cw[c.K+i] {
+					t.Fatalf("(%d,%d) check %d = %#x, Encode gives %#x", c.N, c.K, i, got, cw[c.K+i])
+				}
+			}
+		}
+	}
+}
+
 func TestSSCCorrectsEverySingleSymbolError(t *testing.T) {
 	c := newSSC(t)
 	rng := rand.New(rand.NewSource(2))

@@ -24,11 +24,13 @@ go test -race ./...
 echo "== chaos soak: go test -run Chaos -race -count=2 =="
 go test -run Chaos -race -count=2 ./internal/gpusim/... ./internal/fleet/...
 
-echo "== short fuzz: sliced kernels and pattern predicates vs scalar reference =="
+echo "== short fuzz: sliced kernels, pattern predicates and wire layout vs scalar reference =="
 go test -run '^$' -fuzz FuzzSlicedVsScalarBatch -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzSynBitRowsVsSyndromes -fuzztime 10s ./internal/rscode/
 go test -run '^$' -fuzz FuzzOnDieDecodeVsRef -fuzztime 10s ./internal/ondie/
 go test -run '^$' -fuzz FuzzPatternPredicates -fuzztime 10s ./internal/bitvec/
+go test -run '^$' -fuzz FuzzWireLayout -fuzztime 10s ./internal/bitvec/
+go test -run '^$' -fuzz FuzzEncodeExtractVsRef -fuzztime 10s ./internal/core/
 
 echo "== short fuzz: campaign checkpoint loader =="
 go test -run '^$' -fuzz FuzzCheckpointOpen -fuzztime 10s ./internal/campaign/
